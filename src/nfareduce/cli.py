@@ -92,7 +92,7 @@ def cmd_reduce(args):
     cfg = ReductionConfig(kind=args.type, label_variant=args.label,
                           mode=args.mode, param=param)
     run = greedy_size_driven if args.mode == "size" else greedy_error_driven
-    report = run(a, p, cfg, jobs=args.jobs, det_cap=args.det_cap)
+    report = run(a, p, cfg, det_cap=args.det_cap)
 
     if args.output:
         _write(args.output, serialize_nfa(report.reduced))
@@ -145,7 +145,7 @@ def cmd_label(args):
     a = _load_nfa(args.input)
     p = _load_pa(args.model)
     fn = label_prune if args.type == "prune" else label_selfloop
-    labels = fn(a, p, args.label, jobs=args.jobs, det_cap=args.det_cap)
+    labels = fn(a, p, args.label, det_cap=args.det_cap)
     lines = [f"{q}\t{labels[q]:.17g}" for q in range(len(labels))]
     text = "\n".join(lines) + "\n" if lines else ""
     if args.output:
@@ -194,12 +194,21 @@ def cmd_eval(args):
     return EXIT_OK
 
 
+def _det_cap(text):
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {cap}")
+    return cap
+
+
 def _add_shared(sub):
     sub.add_argument("--model", required=True, help="PA model file")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker bound for label computation")
-    sub.add_argument("--det-cap", type=int, default=DEFAULT_DET_CAP,
-                     help="determinization state cap")
+    sub.add_argument("--det-cap", type=_det_cap, default=DEFAULT_DET_CAP,
+                     help="determinization state cap (>= 1)")
     sub.add_argument("--manifest", help="write a JSON run manifest here")
 
 

@@ -14,7 +14,6 @@ union-of-chains automata keeps the determinization and the linear systems
 tiny.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .langprob import prob_lang, weight_lang
@@ -109,7 +108,7 @@ def _selfloop_labels(sub, p, variant, det_cap):
     return values
 
 
-def _label(a, p, variant, kind, by_component, jobs, det_cap):
+def _label(a, p, variant, kind, by_component, det_cap):
     if variant not in (1, 2, 3):
         raise ValueError(f"label variant must be 1, 2 or 3, got {variant!r}")
     compute = _prune_labels if kind == "prune" else _selfloop_labels
@@ -118,26 +117,17 @@ def _label(a, p, variant, kind, by_component, jobs, det_cap):
     else:
         comps = [frozenset(range(a.num_states))] if a.num_states else []
 
-    def work(comp):
-        sub, origins = restrict_with_map(a, comp)
-        return origins, compute(sub, p, variant, det_cap)
-
-    if jobs > 1 and len(comps) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, comps))
-    else:
-        results = [work(comp) for comp in comps]
-
     values = [0.0] * a.num_states
-    for origins, local in results:
+    for comp in comps:
+        sub, origins = restrict_with_map(a, comp)
+        local = compute(sub, p, variant, det_cap)
         for local_q, orig_q in enumerate(origins):
             values[orig_q] = local[local_q]
     prefix = "p" if kind == "prune" else "sl"
     return StateLabelling(f"{prefix}{variant}", tuple(values))
 
 
-def label_prune(a, p, variant, by_component=True, jobs=1,
-                det_cap=DEFAULT_DET_CAP):
+def label_prune(a, p, variant, by_component=True, det_cap=DEFAULT_DET_CAP):
     """Pruning labels.
 
     Variant 1 sums the back-language probabilities of the final states
@@ -145,10 +135,10 @@ def label_prune(a, p, variant, by_component=True, jobs=1,
     probability of the back-language of that whole final set; variant 3
     takes the probability of the words whose accepting runs pass through q.
     """
-    return _label(a, p, variant, "prune", by_component, jobs, det_cap)
+    return _label(a, p, variant, "prune", by_component, det_cap)
 
 
-def label_selfloop(a, p, variant, by_component=True, jobs=1,
+def label_selfloop(a, p, variant, by_component=True,
                    det_cap=DEFAULT_DET_CAP):
     """Self-loop labels.
 
@@ -157,4 +147,4 @@ def label_selfloop(a, p, variant, by_component=True, jobs=1,
     subtracts from variant 2 the mass already accepted through q (tiny
     negative round-off is clamped to zero).
     """
-    return _label(a, p, variant, "selfloop", by_component, jobs, det_cap)
+    return _label(a, p, variant, "selfloop", by_component, det_cap)

@@ -13,7 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AlphabetMismatchError, EnumerationCapError
-from .nfa import DEFAULT_DET_CAP, determinize, is_unambiguous
+from .nfa import (DEFAULT_DET_CAP, _closure, _explore, determinize,
+                  is_unambiguous)
 from .pa import Ppa
 
 DENSE_SOLVE_LIMIT = 2000
@@ -54,36 +55,17 @@ def product_pa_nfa(p, a, final_weights="model"):
         raise ValueError(f"unknown final_weights mode {final_weights!r}")
     _check_alphabets(p, a)
 
-    index = {}
-    pairs = []
-    queue = []
-    for qp in range(p.num_states):
-        if p.initial[qp] > 0.0:
-            for qa in sorted(a.initial):
-                pair = (qp, qa)
-                index[pair] = len(pairs)
-                pairs.append(pair)
-                queue.append(pair)
-    edges = []  # (src_pair_idx, sym, dst_pair_idx, weight)
-    head = 0
-    while head < len(queue):
-        qp, qa = queue[head]
-        head += 1
-        i = index[(qp, qa)]
-        for sym in a.alphabet:
+    def step(pair):
+        qp, qa = pair
+        for sym, dsts in a.moves(qa):
             row = p.row(sym, qp)
-            if not row:
-                continue
-            for qa2 in a.succ(qa, sym):
+            for qa2 in dsts:
                 for qp2, w in row.items():
-                    pair = (qp2, qa2)
-                    j = index.get(pair)
-                    if j is None:
-                        j = len(pairs)
-                        index[pair] = j
-                        pairs.append(pair)
-                        queue.append(pair)
-                    edges.append((i, sym, j, w))
+                    yield (sym, w), (qp2, qa2)
+
+    starts = [(qp, qa) for qp in range(p.num_states) if p.initial[qp] > 0.0
+              for qa in sorted(a.initial)]
+    pairs, edges = _explore(starts, step)
 
     def is_final(pair):
         qp, qa = pair
@@ -93,16 +75,10 @@ def product_pa_nfa(p, a, final_weights="model"):
 
     # backward pass: keep only pairs that can still reach a final pair
     rev = {}
-    for i, _sym, j, _w in edges:
-        rev.setdefault(j, set()).add(i)
-    alive = {i for i, pair in enumerate(pairs) if is_final(pair)}
-    stack = sorted(alive)
-    while stack:
-        j = stack.pop()
-        for i in rev.get(j, ()):
-            if i not in alive:
-                alive.add(i)
-                stack.append(i)
+    for i, _label, j in edges:
+        rev.setdefault(j, []).append(i)
+    alive = _closure([i for i, pair in enumerate(pairs) if is_final(pair)],
+                     lambda j: rev.get(j, ()))
 
     kept = [i for i in range(len(pairs)) if i in alive]
     pos = {old: new for new, old in enumerate(kept)}
@@ -115,7 +91,7 @@ def product_pa_nfa(p, a, final_weights="model"):
     for new, pair in enumerate(kept_pairs):
         if is_final(pair):
             final[new] = 1.0 if final_weights == "unit" else p.final[pair[0]]
-    trans = [(pos[i], sym, pos[j], w) for i, sym, j, w in edges
+    trans = [(pos[i], sym, pos[j], w) for i, (sym, w), j in edges
              if i in alive and j in alive]
     return ProductPpa(Ppa(a.alphabet, initial, final, trans), kept_pairs)
 

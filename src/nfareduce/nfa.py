@@ -7,25 +7,31 @@ and symbols in alphabet order, so outputs are reproducible bit for bit.
 
 Automata are immutable values: operations return new automata and never
 mutate their inputs, which makes them safe to share across threads.
-"""
 
-from collections import deque
+Every construction that builds a new automaton is one breadth-first
+worklist (``_explore``) over the per-state transition store, and every
+reachability question is one closure (``_closure``).
+"""
 
 from .errors import AlphabetMismatchError, DeterminizationCapError
 
 DEFAULT_DET_CAP = 1 << 20
 
+_NO_MOVES = {}
+
 
 class Nfa:
     """Nondeterministic finite automaton over an ordered alphabet.
 
-    Transitions form a relation ``state x symbol -> set of states``.  There
-    may be several (or zero) initial states; a word is accepted if some run
-    from an initial state ends in a final state.
+    Transitions form a relation ``state x symbol -> set of states``, stored
+    per state as ``state -> {symbol: sorted successors}`` with states
+    ascending and symbols in alphabet order.  There may be several (or zero)
+    initial states; a word is accepted if some run from an initial state
+    ends in a final state.
     """
 
     __slots__ = ("num_states", "alphabet", "initial", "final", "name",
-                 "_delta", "_out", "_sym_index")
+                 "_delta", "_sym_index")
 
     def __init__(self, num_states, alphabet, transitions=(), initial=(),
                  final=(), name=None):
@@ -54,13 +60,12 @@ class Nfa:
             self._check_state(dst)
             if sym not in self._sym_index:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
-            delta.setdefault((src, sym), set()).add(dst)
-        self._delta = {k: tuple(sorted(v)) for k, v in delta.items()}
-
-        out = {}
-        for (src, _sym), dsts in self._delta.items():
-            out.setdefault(src, set()).update(dsts)
-        self._out = {q: tuple(sorted(v)) for q, v in out.items()}
+            delta.setdefault(src, {}).setdefault(sym, set()).add(dst)
+        order = self._sym_index.__getitem__
+        self._delta = {
+            src: {sym: tuple(sorted(moves[sym]))
+                  for sym in sorted(moves, key=order)}
+            for src, moves in sorted(delta.items())}
 
     def _check_state(self, q):
         if not isinstance(q, int) or not 0 <= q < self.num_states:
@@ -68,21 +73,27 @@ class Nfa:
 
     def succ(self, q, sym):
         """Successor states of ``q`` on ``sym`` (possibly empty tuple)."""
-        return self._delta.get((q, sym), ())
+        return self._delta.get(q, _NO_MOVES).get(sym, ())
+
+    def moves(self, q):
+        """(symbol, successors) pairs of ``q`` in alphabet order, for the
+        symbols ``q`` has a transition on."""
+        return self._delta.get(q, _NO_MOVES).items()
 
     def neighbors(self, q):
         """All distinct successors of ``q`` over any symbol."""
-        return self._out.get(q, ())
+        return set().union(*self._delta.get(q, _NO_MOVES).values())
 
     def transitions(self):
         """Yield (src, sym, dst) triples sorted by (src, alphabet order, dst)."""
-        for (src, sym) in sorted(self._delta,
-                                 key=lambda k: (k[0], self._sym_index[k[1]])):
-            for dst in self._delta[(src, sym)]:
-                yield src, sym, dst
+        for src, moves in self._delta.items():
+            for sym, dsts in moves.items():
+                for dst in dsts:
+                    yield src, sym, dst
 
     def num_transitions(self):
-        return sum(len(v) for v in self._delta.values())
+        return sum(len(dsts) for moves in self._delta.values()
+                   for dsts in moves.values())
 
     def __len__(self):
         return self.num_states
@@ -115,36 +126,67 @@ def same_alphabet(a1, a2):
     return a1.alphabet
 
 
+def _explore(starts, step, cap=None):
+    """Breadth-first worklist that numbers keys in discovery order.
+
+    ``starts`` are numbered first, in the order given; ``step(key)`` yields
+    the (label, successor key) pairs of a key.  Returns ``(keys, edges)``:
+    the keys by number and the (src number, label, dst number) edges in the
+    order they were found.  Raises DeterminizationCapError when a new key
+    would exceed ``cap`` keys.
+    """
+    index = {}
+    keys = []
+    for key in starts:
+        if key not in index:
+            index[key] = len(keys)
+            keys.append(key)
+    edges = []
+    i = 0
+    while i < len(keys):
+        for label, key in step(keys[i]):
+            j = index.get(key)
+            if j is None:
+                if cap is not None and len(keys) >= cap:
+                    raise DeterminizationCapError(cap)
+                j = index[key] = len(keys)
+                keys.append(key)
+            edges.append((i, label, j))
+        i += 1
+    return keys, edges
+
+
+def _closure(seeds, neighbors):
+    """The least superset of ``seeds`` closed under ``neighbors(x)``."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for y in neighbors(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(seen)
+
+
+def _predecessors(a):
+    """state -> the set of states with a transition into it."""
+    pred = {q: set() for q in range(a.num_states)}
+    for src in a._delta:
+        for dst in a.neighbors(src):
+            pred[dst].add(src)
+    return pred
+
+
 def reach(a, sources):
     """Forward-reachable states from ``sources``, including the sources."""
     _check_states(a, sources)
-    seen = set(sources)
-    queue = deque(sorted(seen))
-    while queue:
-        q = queue.popleft()
-        for d in a.neighbors(q):
-            if d not in seen:
-                seen.add(d)
-                queue.append(d)
-    return frozenset(seen)
+    return _closure(sources, a.neighbors)
 
 
 def coreach(a, targets):
     """States from which some state in ``targets`` is reachable."""
     _check_states(a, targets)
-    rev = {}
-    for (src, _sym), dsts in a._delta.items():
-        for d in dsts:
-            rev.setdefault(d, set()).add(src)
-    seen = set(targets)
-    queue = deque(sorted(seen))
-    while queue:
-        q = queue.popleft()
-        for s in rev.get(q, ()):
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    return frozenset(seen)
+    return _closure(targets, _predecessors(a).__getitem__)
 
 
 def trim_survivors(a):
@@ -212,34 +254,22 @@ def product_with_pairs(a1, a2):
     """Standard product automaton restricted to pairs reachable from the
     initial pairs; returns (automaton, pair-of-origin per product state)."""
     alphabet = same_alphabet(a1, a2)
-    index = {}
-    pairs = []
-    queue = deque()
-    for q1 in sorted(a1.initial):
-        for q2 in sorted(a2.initial):
-            index[(q1, q2)] = len(pairs)
-            pairs.append((q1, q2))
-            queue.append((q1, q2))
-    n_initial = len(pairs)
-    transitions = []
-    while queue:
-        q1, q2 = queue.popleft()
-        i = index[(q1, q2)]
-        for sym in alphabet:
-            for d1 in a1.succ(q1, sym):
-                for d2 in a2.succ(q2, sym):
-                    pair = (d1, d2)
-                    j = index.get(pair)
-                    if j is None:
-                        j = len(pairs)
-                        index[pair] = j
-                        pairs.append(pair)
-                        queue.append(pair)
-                    transitions.append((i, sym, j))
+
+    def step(pair):
+        q1, q2 = pair
+        for sym, dsts1 in a1.moves(q1):
+            dsts2 = a2.succ(q2, sym)
+            for d1 in dsts1:
+                for d2 in dsts2:
+                    yield sym, (d1, d2)
+
+    starts = [(q1, q2) for q1 in sorted(a1.initial)
+              for q2 in sorted(a2.initial)]
+    pairs, transitions = _explore(starts, step)
     final = [i for i, (q1, q2) in enumerate(pairs)
              if q1 in a1.final and q2 in a2.final]
     return (Nfa(len(pairs), alphabet, transitions,
-                initial=range(n_initial), final=final),
+                initial=range(len(starts)), final=final),
             tuple(pairs))
 
 
@@ -264,30 +294,17 @@ def determinize_with_subsets(a, cap=DEFAULT_DET_CAP):
     the empty successor subset is dropped (the result is a partial DFA).
     Raises DeterminizationCapError when more than ``cap`` subsets appear.
     """
-    start = frozenset(a.initial)
-    index = {start: 0}
-    subsets = [start]
-    queue = deque([start])
-    transitions = []
-    while queue:
-        s = queue.popleft()
-        i = index[s]
-        for sym in a.alphabet:
-            t = set()
-            for q in s:
-                t.update(a.succ(q, sym))
-            if not t:
-                continue
-            t = frozenset(t)
-            j = index.get(t)
-            if j is None:
-                if len(subsets) >= cap:
-                    raise DeterminizationCapError(cap)
-                j = len(subsets)
-                index[t] = j
-                subsets.append(t)
-                queue.append(t)
-            transitions.append((i, sym, j))
+    order = a._sym_index.__getitem__
+
+    def step(s):
+        targets = {}
+        for q in s:
+            for sym, dsts in a.moves(q):
+                targets.setdefault(sym, set()).update(dsts)
+        for sym in sorted(targets, key=order):
+            yield sym, frozenset(targets[sym])
+
+    subsets, transitions = _explore([frozenset(a.initial)], step, cap)
     final = [i for i, s in enumerate(subsets) if s & a.final]
     return (Nfa(len(subsets), a.alphabet, transitions, initial=[0],
                 final=final, name=a.name),
@@ -307,34 +324,19 @@ def through_state(a, q):
     to 1 upon entering ``q`` and accepting requires flag 1 at a final state.
     """
     a._check_state(q)
-    index = {}
-    nodes = []
-    queue = deque()
-    for i in sorted(a.initial):
-        node = (i, 1 if i == q else 0)
-        if node not in index:
-            index[node] = len(nodes)
-            nodes.append(node)
-            queue.append(node)
-    n_initial = len(nodes)
-    transitions = []
-    while queue:
-        s, flag = queue.popleft()
-        i = index[(s, flag)]
-        for sym in a.alphabet:
-            for d in a.succ(s, sym):
-                node = (d, 1 if (flag or d == q) else 0)
-                j = index.get(node)
-                if j is None:
-                    j = len(nodes)
-                    index[node] = j
-                    nodes.append(node)
-                    queue.append(node)
-                transitions.append((i, sym, j))
+
+    def step(node):
+        s, flag = node
+        for sym, dsts in a.moves(s):
+            for d in dsts:
+                yield sym, (d, 1 if (flag or d == q) else 0)
+
+    starts = [(i, 1 if i == q else 0) for i in sorted(a.initial)]
+    nodes, transitions = _explore(starts, step)
     final = [i for i, (s, flag) in enumerate(nodes)
              if flag and s in a.final]
     return Nfa(len(nodes), a.alphabet, transitions,
-               initial=range(n_initial), final=final)
+               initial=range(len(starts)), final=final)
 
 
 def banguage_nfa(a, targets):
@@ -364,25 +366,12 @@ def components(a):
     """Weakly-connected components of the transition graph, as a list of
     state sets ordered by their smallest member.  Isolated states form
     singleton components."""
-    und = {q: set() for q in range(a.num_states)}
-    for (src, _sym), dsts in a._delta.items():
-        for d in dsts:
-            und[src].add(d)
-            und[d].add(src)
+    pred = _predecessors(a)
     seen = set()
     comps = []
     for q in range(a.num_states):
-        if q in seen:
-            continue
-        comp = {q}
-        queue = deque([q])
-        seen.add(q)
-        while queue:
-            s = queue.popleft()
-            for d in sorted(und[s]):
-                if d not in seen:
-                    seen.add(d)
-                    comp.add(d)
-                    queue.append(d)
-        comps.append(frozenset(comp))
+        if q not in seen:
+            comp = _closure([q], lambda s: a.neighbors(s) | pred[s])
+            seen |= comp
+            comps.append(comp)
     return comps

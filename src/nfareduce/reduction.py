@@ -10,13 +10,12 @@ assumed to be trim.
 """
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .labels import label_prune, label_selfloop
 from .langprob import prob_lang
-from .nfa import (DEFAULT_DET_CAP, Nfa, _check_states, product, restrict,
-                  self_loop)
+from .nfa import (DEFAULT_DET_CAP, Nfa, _check_states, _closure,
+                  _predecessors, product, restrict, self_loop)
 
 KINDS = ("prune", "selfloop")
 MODES = ("size", "error")
@@ -86,56 +85,21 @@ def prune_survivors(a, v):
     initial and co-reachable to a final state while avoiding ``v``."""
     _check_states(a, v)
     v = frozenset(v)
-    fwd = set(q for q in a.initial if q not in v)
-    queue = deque(sorted(fwd))
-    while queue:
-        q = queue.popleft()
-        for d in a.neighbors(q):
-            if d not in v and d not in fwd:
-                fwd.add(d)
-                queue.append(d)
-    rev = {}
-    for src, _sym, dst in a.transitions():
-        if src not in v and dst not in v:
-            rev.setdefault(dst, set()).add(src)
-    bwd = set(q for q in a.final if q not in v)
-    queue = deque(sorted(bwd))
-    while queue:
-        q = queue.popleft()
-        for s in rev.get(q, ()):
-            if s not in bwd:
-                bwd.add(s)
-                queue.append(s)
-    return frozenset(fwd & bwd)
+    pred = _predecessors(a)
+    fwd = _closure(a.initial - v, lambda q: a.neighbors(q) - v)
+    bwd = _closure(a.final - v, lambda q: pred[q] - v)
+    return fwd & bwd
 
 
 def selfloop_survivors(a, v):
     """Original states surviving the self-looping of ``v``."""
     _check_states(a, v)
     v = frozenset(v)
-    fwd = set(a.initial)
-    queue = deque(sorted(fwd))
-    while queue:
-        q = queue.popleft()
-        if q in v:
-            continue  # looped states only reach themselves
-        for d in a.neighbors(q):
-            if d not in fwd:
-                fwd.add(d)
-                queue.append(d)
-    rev = {}
-    for src, _sym, dst in a.transitions():
-        if src not in v:
-            rev.setdefault(dst, set()).add(src)
-    bwd = set(a.final | v)
-    queue = deque(sorted(bwd))
-    while queue:
-        q = queue.popleft()
-        for s in rev.get(q, ()):
-            if s not in bwd:
-                bwd.add(s)
-                queue.append(s)
-    return frozenset(fwd & bwd)
+    pred = _predecessors(a)
+    # looped states only reach themselves
+    fwd = _closure(a.initial, lambda q: () if q in v else a.neighbors(q))
+    bwd = _closure(a.final | v, lambda q: pred[q] - v)
+    return fwd & bwd
 
 
 def reduce_prune(a, v):
@@ -184,10 +148,10 @@ def _err_selfloop_raw(a, v, lab):
     return sum(lab[q] for q in sorted(minimize_selfloop_set(a, v)))
 
 
-def _labels_for(a, p, cfg, jobs, det_cap):
+def _labels_for(a, p, cfg, det_cap):
     if cfg.kind == "prune":
-        return label_prune(a, p, cfg.label_variant, jobs=jobs, det_cap=det_cap)
-    return label_selfloop(a, p, cfg.label_variant, jobs=jobs, det_cap=det_cap)
+        return label_prune(a, p, cfg.label_variant, det_cap=det_cap)
+    return label_selfloop(a, p, cfg.label_variant, det_cap=det_cap)
 
 
 def default_order(labels):
@@ -216,7 +180,7 @@ def _err(a, kind, v, lab):
     return err_prune(a, v, lab) if kind == "prune" else err_selfloop(a, v, lab)
 
 
-def greedy_size_driven(a, p, cfg, labels=None, jobs=1, det_cap=DEFAULT_DET_CAP):
+def greedy_size_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
     """Grow the sacrificed set in label order until the reduced automaton
     fits the state bound; report the reduced automaton and the error bound.
 
@@ -234,7 +198,7 @@ def greedy_size_driven(a, p, cfg, labels=None, jobs=1, det_cap=DEFAULT_DET_CAP):
 
     t0 = time.perf_counter()
     if labels is None:
-        labels = _labels_for(a, p, cfg, jobs, det_cap)
+        labels = _labels_for(a, p, cfg, det_cap)
     label_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -256,8 +220,7 @@ def greedy_size_driven(a, p, cfg, labels=None, jobs=1, det_cap=DEFAULT_DET_CAP):
                            reduced.num_states, label_time, reduce_time, raw)
 
 
-def greedy_error_driven(a, p, cfg, labels=None, jobs=1,
-                        det_cap=DEFAULT_DET_CAP):
+def greedy_error_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
     """Visit every state in label order and sacrifice it whenever the error
     bound stays within the budget; the bound need not be monotone, so no
     early exit."""
@@ -267,7 +230,7 @@ def greedy_error_driven(a, p, cfg, labels=None, jobs=1,
 
     t0 = time.perf_counter()
     if labels is None:
-        labels = _labels_for(a, p, cfg, jobs, det_cap)
+        labels = _labels_for(a, p, cfg, det_cap)
     label_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()

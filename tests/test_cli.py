@@ -156,6 +156,21 @@ class TestDistance:
         assert main(["distance", str(ambiguous), str(ambiguous),
                      "--model", pa, "--det-cap", "1"]) == 3
 
+    @pytest.mark.parametrize("cap", ["0", "-3", "x"])
+    @pytest.mark.parametrize("ambiguous", [True, False])
+    def test_det_cap_below_one_exit_2(self, files, tmp_path, capsys, cap,
+                                      ambiguous):
+        _, fa, pa = files
+        if ambiguous:
+            fa = tmp_path / "amb.fa"
+            fa.write_text("%Alphabet a b\n%Initial q0\n%Final q1 q2\n"
+                          "q0 a q1\nq0 a q2\nq1 b q0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["distance", str(fa), str(fa), "--model", pa,
+                  "--det-cap", cap])
+        assert exc.value.code == 2
+        assert "error: argument --det-cap" in capsys.readouterr().err
+
 
 class TestLabel:
     def test_tsv_output(self, files, capsys):

@@ -94,16 +94,6 @@ class TestComponentWise:
                     for q in range(a.num_states):
                         assert per_comp[q] == pytest.approx(whole[q], abs=1e-9)
 
-    def test_jobs_do_not_change_values(self):
-        rng = random.Random(45)
-        p = random_pa(rng, max_states=3)
-        from nfareduce import union
-        a = union(random_nfa(rng, max_states=4, alphabet=p.alphabet),
-                  random_nfa(rng, max_states=4, alphabet=p.alphabet))
-        for v in (1, 2, 3):
-            assert (label_selfloop(a, p, v, jobs=4).values
-                    == label_selfloop(a, p, v, jobs=1).values)
-
 
 def brute_prune_labels(a, p, variant, max_len):
     """Pruning labels straight from their language definitions, by bounded

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from nfareduce import (Nfa, accepts, banguage_nfa, components, determinize,
-                       determinize_with_subsets, is_unambiguous, product,
-                       reach, restrict, self_loop, through_state, trim,
-                       trim_survivors, union)
+from nfareduce import (Nfa, Pa, accepts, banguage_nfa, components,
+                       determinize, determinize_with_subsets, is_unambiguous,
+                       product, product_pa_nfa, product_with_pairs, reach,
+                       restrict, self_loop, serialize_nfa, through_state,
+                       trim, trim_survivors, union)
 from nfareduce.errors import AlphabetMismatchError, DeterminizationCapError
 
 from util import AB, ABC, a2, canon_dfa, lang_upto, random_nfa, words_upto
@@ -280,3 +281,47 @@ class TestComponents:
                 assert not (seen & c)
                 seen |= c
             assert seen == set(range(a.num_states))
+
+
+class TestDiscoveryOrder:
+    """Constructions number their states breadth-first from the initial
+    states, visiting symbols in alphabet order and successors ascending.
+    State numberings feed every matrix, label and output file, so the exact
+    order is pinned here on an alphabet whose order is not lexical."""
+
+    BA = ("b", "a")
+
+    def nfa(self):
+        return Nfa(5, self.BA,
+                   [(0, "a", 2), (0, "a", 1), (0, "b", 3), (1, "b", 2),
+                    (1, "a", 4), (2, "a", 3), (2, "b", 4), (3, "b", 3),
+                    (4, "a", 0)],
+                   initial=[1, 0], final=[3, 4])
+
+    def test_product_pairs(self):
+        _, pairs = product_with_pairs(self.nfa(), self.nfa())
+        assert pairs == (
+            (0, 0), (0, 1), (1, 0), (1, 1), (3, 3), (1, 2), (2, 1), (2, 2),
+            (3, 2), (1, 4), (2, 4), (2, 3), (4, 1), (4, 2), (4, 4), (4, 3),
+            (3, 4), (4, 0), (3, 0), (0, 4), (0, 3), (0, 2), (2, 0), (1, 3),
+            (3, 1))
+
+    def test_determinize_subsets(self):
+        _, subsets = determinize_with_subsets(self.nfa())
+        assert subsets == tuple(frozenset(s) for s in (
+            (0, 1), (2, 3), (1, 2, 4), (3, 4), (3,), (2, 4), (0, 3, 4), (0,),
+            (4,), (0, 3), (0, 1, 2), (1, 2), (2, 3, 4), (1, 2, 3, 4)))
+
+    def test_through_state_serialized(self):
+        assert serialize_nfa(through_state(self.nfa(), 2)) == (
+            "%Alphabet b a\n%Initial 0 1\n%Final 5 6\n"
+            "0 b 2\n0 a 1\n0 a 3\n1 b 3\n1 a 4\n2 b 2\n3 b 5\n3 a 6\n"
+            "4 a 0\n5 a 7\n6 b 6\n7 b 6\n7 a 3\n7 a 8\n8 b 3\n8 a 5\n")
+
+    def test_pa_product_pair_map(self):
+        p = Pa(self.BA, [0.5, 0.5], [0.5, 0.5],
+               [(0, "b", 1, 0.25), (0, "a", 0, 0.25), (1, "a", 0, 0.25),
+                (1, "b", 1, 0.25)])
+        assert product_pa_nfa(p, self.nfa()).pair_map == (
+            (0, 0), (0, 1), (1, 0), (1, 1), (1, 3), (0, 2), (1, 2), (0, 4),
+            (1, 4), (0, 3))

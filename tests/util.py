@@ -38,6 +38,38 @@ def canon_dfa(a):
                [pos[q] for q in sorted(a.final) if q in pos])
 
 
+def naive_closure(seeds, pairs):
+    """Least superset of ``seeds`` closed under the (src, dst) ``pairs``,
+    by plain fixed-point iteration."""
+    reached = set(seeds)
+    while True:
+        new = {d for s, d in pairs if s in reached} - reached
+        if not new:
+            return frozenset(reached)
+        reached |= new
+
+
+def naive_trim_survivors(a, avoid=frozenset()):
+    """States on some initial-to-final path of ``a`` that avoids the states
+    in ``avoid``, from the transitions() triples alone."""
+    pairs = {(s, d) for s, _, d in a.transitions()
+             if s not in avoid and d not in avoid}
+    fwd = naive_closure(a.initial - avoid, pairs)
+    bwd = naive_closure(a.final - avoid, {(d, s) for s, d in pairs})
+    return fwd & bwd
+
+
+def naive_components(a):
+    """Weakly-connected components ordered by smallest member."""
+    pairs = {(s, d) for s, _, d in a.transitions()}
+    pairs |= {(d, s) for s, d in pairs}
+    comps = []
+    for q in range(a.num_states):
+        if not any(q in c for c in comps):
+            comps.append(naive_closure([q], pairs))
+    return comps
+
+
 def words_upto(alphabet, max_len):
     for length in range(max_len + 1):
         for w in itertools.product(alphabet, repeat=length):
