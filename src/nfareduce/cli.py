@@ -68,7 +68,7 @@ def _emit(pairs):
 
 def _write_manifest(args, inputs, config, timings, results):
     manifest = {
-        "command": [args.command] + args.raw_argv,
+        "command": args.raw_argv,
         "inputs": {path: _digest(path) for path in inputs},
         "config": config,
         "timings": timings,
@@ -81,6 +81,9 @@ def cmd_reduce(args):
     a = _load_nfa(args.input)
     p = _load_pa(args.model)
     if args.mode == "size":
+        if not math.isfinite(args.param):
+            raise FormatError("size mode needs a finite bound >= 1 or a "
+                              "ratio in (0,1)")
         if args.param >= 1.0:
             param = int(args.param)
         elif args.param > 0.0:

@@ -8,6 +8,7 @@ so the matrix star (the sum of all powers of E) equals (I - E)^-1.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,15 +25,32 @@ ENUM_GUARD = 10 ** 7
 CLAMP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductPpa:
-    """Trimmed product of a PA and an NFA.
+    """Trimmed product of a PA and an NFA, as arrays.
 
     ``pair_map[i]`` gives the (pa_state, nfa_state) origin of product
-    state ``i``.
+    state ``i``; ``initial`` and ``final`` are the weight vectors.  Entry
+    ``k`` is a transition ``src[k] -alphabet[sym[k]]-> dst[k]`` of weight
+    ``weight[k]``, in ``Ppa.entries()`` order: by source, alphabet index,
+    then target.  ``ppa`` is the same automaton as a ``Ppa``, built on
+    first use.
     """
-    ppa: Ppa
+    alphabet: tuple
     pair_map: tuple
+    initial: np.ndarray
+    final: np.ndarray
+    src: np.ndarray
+    sym: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+
+    @cached_property
+    def ppa(self):
+        syms = [self.alphabet[k] for k in self.sym.tolist()]
+        return Ppa(self.alphabet, self.initial.tolist(), self.final.tolist(),
+                   zip(self.src.tolist(), syms, self.dst.tolist(),
+                       self.weight.tolist()))
 
 
 def _check_alphabets(p, a):
@@ -54,60 +72,71 @@ def product_pa_nfa(p, a, final_weights="model"):
     if final_weights not in ("model", "unit"):
         raise ValueError(f"unknown final_weights mode {final_weights!r}")
     _check_alphabets(p, a)
+    rows = p._trans
+    order = a._sym_index
 
     def step(pair):
         qp, qa = pair
         for sym, dsts in a.moves(qa):
-            row = p.row(sym, qp)
-            for qa2 in dsts:
-                for qp2, w in row.items():
-                    yield (sym, w), (qp2, qa2)
+            row = rows.get(sym)
+            row = row.get(qp) if row is not None else None
+            if row:
+                k = order[sym]
+                for qa2 in dsts:
+                    for qp2, w in row.items():
+                        yield (k, w), (qp2, qa2)
 
     starts = [(qp, qa) for qp in range(p.num_states) if p.initial[qp] > 0.0
               for qa in sorted(a.initial)]
     pairs, edges = _explore(starts, step)
 
-    def is_final(pair):
-        qp, qa = pair
+    def final_weight(qp, qa):
         if qa not in a.final:
-            return False
-        return True if final_weights == "unit" else p.final[qp] > 0.0
+            return 0.0
+        if final_weights == "unit":
+            return 1.0
+        return p.final[qp] if p.final[qp] > 0.0 else 0.0
+
+    final_all = np.array([final_weight(qp, qa) for qp, qa in pairs])
+    # comprehensions, not zip(*edges): zip makes one garbage-collected
+    # iterator per edge, and large products then trigger full collections
+    src = np.array([i for i, _label, _j in edges], dtype=np.intp)
+    dst = np.array([j for _i, _label, j in edges], dtype=np.intp)
 
     # backward pass: keep only pairs that can still reach a final pair
-    rev = {}
-    for i, _label, j in edges:
-        rev.setdefault(j, []).append(i)
-    alive = _closure([i for i, pair in enumerate(pairs) if is_final(pair)],
-                     lambda j: rev.get(j, ()))
+    by_dst = np.argsort(dst, kind="stable")
+    into = src[by_dst].tolist()
+    bounds = np.searchsorted(dst[by_dst], np.arange(len(pairs) + 1)).tolist()
+    alive = _closure(np.flatnonzero(final_all).tolist(),
+                     lambda j: into[bounds[j]:bounds[j + 1]])
 
-    kept = [i for i in range(len(pairs)) if i in alive]
-    pos = {old: new for new, old in enumerate(kept)}
-    kept_pairs = tuple(pairs[i] for i in kept)
-    initial = [0.0] * len(kept)
-    for new, (qp, qa) in enumerate(kept_pairs):
-        if qa in a.initial and p.initial[qp] > 0.0:
-            initial[new] = p.initial[qp]
-    final = [0.0] * len(kept)
-    for new, pair in enumerate(kept_pairs):
-        if is_final(pair):
-            final[new] = 1.0 if final_weights == "unit" else p.final[pair[0]]
-    trans = [(pos[i], sym, pos[j], w) for i, (sym, w), j in edges
-             if i in alive and j in alive]
-    return ProductPpa(Ppa(a.alphabet, initial, final, trans), kept_pairs)
+    kept = np.array(sorted(alive), dtype=np.intp)
+    pos = np.full(len(pairs), -1, dtype=np.intp)
+    pos[kept] = np.arange(len(kept))
+    kept_pairs = tuple(pairs[i] for i in kept.tolist())
+    initial = np.array([p.initial[qp]
+                        if qa in a.initial and p.initial[qp] > 0.0 else 0.0
+                        for qp, qa in kept_pairs])
+    src, dst = pos[src], pos[dst]
+    keep = (src >= 0) & (dst >= 0)
+    src, dst = src[keep], dst[keep]
+    sym = np.array([label[0] for _i, label, _j in edges], dtype=np.intp)[keep]
+    weight = np.array([label[1] for _i, label, _j in edges],
+                      dtype=float)[keep]
+    # the order of Ppa.entries(): by source, alphabet index, target
+    perm = np.lexsort((dst, sym, src))
+    return ProductPpa(a.alphabet, kept_pairs, initial, final_all[kept],
+                      src[perm], sym[perm], dst[perm], weight[perm])
 
 
 def _solve_star(r):
     """Evaluate initial . (I - E)^-1 . final on a trimmed product PPA."""
-    n = r.ppa.num_states
+    n = len(r.pair_map)
     if n == 0:
         return 0.0
-    alpha = np.array(r.ppa.initial)
-    phi = np.array(r.ppa.final)
-    rows, cols, vals = [], [], []
-    for src, _sym, dst, w in r.ppa.entries():
-        rows.append(src)
-        cols.append(dst)
-        vals.append(w)
+    alpha = r.initial
+    phi = r.final
+    rows, cols, vals = r.src, r.dst, r.weight
     if n <= DENSE_SOLVE_LIMIT:
         e = np.zeros((n, n))
         np.add.at(e, (rows, cols), vals)

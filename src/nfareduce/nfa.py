@@ -10,7 +10,10 @@ mutate their inputs, which makes them safe to share across threads.
 
 Every construction that builds a new automaton is one breadth-first
 worklist (``_explore``) over the per-state transition store, and every
-reachability question is one closure (``_closure``).
+reachability question is one closure (``_closure``).  The outputs of the
+subset construction, the product, ``through_state`` and ``banguage_nfa``
+are valid by construction, so they fill the store directly (``_built``)
+instead of re-validating every transition in ``Nfa.__init__``.
 """
 
 from .errors import AlphabetMismatchError, DeterminizationCapError
@@ -31,7 +34,7 @@ class Nfa:
     """
 
     __slots__ = ("num_states", "alphabet", "initial", "final", "name",
-                 "_delta", "_sym_index")
+                 "_delta", "_sym_index", "_pred")
 
     def __init__(self, num_states, alphabet, transitions=(), initial=(),
                  final=(), name=None):
@@ -66,6 +69,23 @@ class Nfa:
             src: {sym: tuple(sorted(moves[sym]))
                   for sym in sorted(moves, key=order)}
             for src, moves in sorted(delta.items())}
+        self._pred = None
+
+    @classmethod
+    def _built(cls, num_states, like, delta, initial, final, name=None):
+        """Automaton over the alphabet of ``like`` from a store that already
+        keeps the invariants (states ascending, symbols in alphabet order,
+        sorted successor tuples, no empty entries); nothing is checked."""
+        a = object.__new__(cls)
+        a.num_states = num_states
+        a.alphabet = like.alphabet
+        a._sym_index = like._sym_index
+        a.initial = frozenset(initial)
+        a.final = frozenset(final)
+        a.name = name
+        a._delta = delta
+        a._pred = None
+        return a
 
     def _check_state(self, q):
         if not isinstance(q, int) or not 0 <= q < self.num_states:
@@ -169,12 +189,39 @@ def _closure(seeds, neighbors):
 
 
 def _predecessors(a):
-    """state -> the set of states with a transition into it."""
-    pred = {q: set() for q in range(a.num_states)}
-    for src in a._delta:
-        for dst in a.neighbors(src):
-            pred[dst].add(src)
-    return pred
+    """state -> the frozenset of states with a transition into it; built
+    once per automaton and kept, since automata are immutable."""
+    if a._pred is None:
+        pred = {q: set() for q in range(a.num_states)}
+        for src in a._delta:
+            for dst in a.neighbors(src):
+                pred[dst].add(src)
+        a._pred = {q: frozenset(srcs) for q, srcs in pred.items()}
+    return a._pred
+
+
+def _store(edges):
+    """Per-state store from ``_explore`` edges: they come grouped by
+    ascending source and, per source, with labels in alphabet order.
+    Successor tuples are built directly (no list per entry), and only the
+    entries with several successors are sorted afterwards."""
+    delta = {}
+    several = []
+    last = None
+    for i, sym, j in edges:
+        if i != last:
+            moves = delta[i] = {}
+            last = i
+        dsts = moves.get(sym)
+        if dsts is None:
+            moves[sym] = (j,)
+        else:
+            if len(dsts) == 1:
+                several.append((moves, sym))
+            moves[sym] = dsts + (j,)
+    for moves, sym in several:
+        moves[sym] = tuple(sorted(moves[sym]))
+    return delta
 
 
 def reach(a, sources):
@@ -253,7 +300,7 @@ def union(a1, a2):
 def product_with_pairs(a1, a2):
     """Standard product automaton restricted to pairs reachable from the
     initial pairs; returns (automaton, pair-of-origin per product state)."""
-    alphabet = same_alphabet(a1, a2)
+    same_alphabet(a1, a2)
 
     def step(pair):
         q1, q2 = pair
@@ -265,11 +312,11 @@ def product_with_pairs(a1, a2):
 
     starts = [(q1, q2) for q1 in sorted(a1.initial)
               for q2 in sorted(a2.initial)]
-    pairs, transitions = _explore(starts, step)
+    pairs, edges = _explore(starts, step)
     final = [i for i, (q1, q2) in enumerate(pairs)
              if q1 in a1.final and q2 in a2.final]
-    return (Nfa(len(pairs), alphabet, transitions,
-                initial=range(len(starts)), final=final),
+    return (Nfa._built(len(pairs), a1, _store(edges), range(len(starts)),
+                       final),
             tuple(pairs))
 
 
@@ -281,11 +328,46 @@ def product(a1, a2):
 def is_unambiguous(a):
     """True iff every accepted word has exactly one accepting run.
 
-    Checked on the trimmed self-product: the automaton is ambiguous exactly
-    when some off-diagonal pair survives trimming.
+    The automaton is ambiguous exactly when some pair of distinct states
+    (p, q) is reachable in its self-product, from an initial pair, on the
+    same word, and can still reach a final pair.  The pair graph is
+    explored directly, as unordered pairs (p <= q); no product automaton
+    is built.
     """
-    prod, pairs = product_with_pairs(a, a)
-    return all(pairs[i][0] == pairs[i][1] for i in trim_survivors(prod))
+    delta = a._delta
+
+    def step(pair):
+        p, q = pair
+        if p == q:
+            for dsts in delta.get(p, _NO_MOVES).values():
+                for i, d1 in enumerate(dsts):
+                    for d2 in dsts[i:]:
+                        yield None, (d1, d2)
+            return
+        mp = delta.get(p, _NO_MOVES)
+        mq = delta.get(q, _NO_MOVES)
+        if len(mq) < len(mp):
+            mp, mq = mq, mp
+        for sym, dsts1 in mp.items():
+            dsts2 = mq.get(sym)
+            if dsts2 is not None:
+                for d1 in dsts1:
+                    for d2 in dsts2:
+                        yield None, ((d1, d2) if d1 <= d2 else (d2, d1))
+
+    init = sorted(a.initial)
+    starts = [(p, q) for i, p in enumerate(init) for q in init[i:]]
+    pairs, edges = _explore(starts, step)
+    if all(p == q for p, q in pairs):
+        return True
+    rev = {}
+    for i, _label, j in edges:
+        rev.setdefault(j, []).append(i)
+    final = a.final
+    alive = _closure([j for j, (p, q) in enumerate(pairs)
+                      if p in final and q in final],
+                     lambda j: rev.get(j, ()))
+    return all(pairs[j][0] == pairs[j][1] for j in alive)
 
 
 def determinize_with_subsets(a, cap=DEFAULT_DET_CAP):
@@ -295,19 +377,31 @@ def determinize_with_subsets(a, cap=DEFAULT_DET_CAP):
     Raises DeterminizationCapError when more than ``cap`` subsets appear.
     """
     order = a._sym_index.__getitem__
+    # one frozenset per (state, symbol), so a target that comes from one
+    # state alone is that shared object, hashed only once
+    moves = {q: {sym: frozenset(dsts) for sym, dsts in m.items()}
+             for q, m in a._delta.items()}
 
     def step(s):
-        targets = {}
-        for q in s:
-            for sym, dsts in a.moves(q):
-                targets.setdefault(sym, set()).update(dsts)
-        for sym in sorted(targets, key=order):
-            yield sym, frozenset(targets[sym])
+        # start from the state with the most moves: when it has every
+        # symbol of the subset, the targets are already in alphabet order
+        sources = sorted((moves[q] for q in s if q in moves), key=len,
+                         reverse=True)
+        if not sources:
+            return ()
+        targets = dict(sources[0])
+        for m in sources[1:]:
+            for sym, dsts in m.items():
+                cur = targets.get(sym)
+                targets[sym] = dsts if cur is None else cur | dsts
+        if len(targets) == len(sources[0]):
+            return targets.items()
+        return [(sym, targets[sym]) for sym in sorted(targets, key=order)]
 
-    subsets, transitions = _explore([frozenset(a.initial)], step, cap)
+    subsets, edges = _explore([frozenset(a.initial)], step, cap)
     final = [i for i, s in enumerate(subsets) if s & a.final]
-    return (Nfa(len(subsets), a.alphabet, transitions, initial=[0],
-                final=final, name=a.name),
+    return (Nfa._built(len(subsets), a, _store(edges), [0], final,
+                       name=a.name),
             tuple(subsets))
 
 
@@ -332,19 +426,19 @@ def through_state(a, q):
                 yield sym, (d, 1 if (flag or d == q) else 0)
 
     starts = [(i, 1 if i == q else 0) for i in sorted(a.initial)]
-    nodes, transitions = _explore(starts, step)
+    nodes, edges = _explore(starts, step)
     final = [i for i, (s, flag) in enumerate(nodes)
              if flag and s in a.final]
-    return Nfa(len(nodes), a.alphabet, transitions,
-               initial=range(len(starts)), final=final)
+    return Nfa._built(len(nodes), a, _store(edges), range(len(starts)),
+                      final)
 
 
 def banguage_nfa(a, targets):
     """Copy of ``a`` whose final set is replaced by ``targets``; accepts the
-    back-language of the target set."""
+    back-language of the target set.  The copy shares the store of ``a``."""
     _check_states(a, targets)
-    return Nfa(a.num_states, a.alphabet, a.transitions(),
-               initial=a.initial, final=targets, name=a.name)
+    return Nfa._built(a.num_states, a, a._delta, a.initial, targets,
+                      name=a.name)
 
 
 def accepts(a, word):

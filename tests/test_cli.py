@@ -66,6 +66,15 @@ class TestReduce:
                       for line in capsys.readouterr().out.splitlines())
         assert report["output_states"] == "2"  # ceil(0.5 * 4) = 2
 
+    @pytest.mark.parametrize("param", ["inf", "1e400"])
+    def test_infinite_size_bound_exit_2(self, files, capsys, param):
+        _, fa, pa = files
+        rc = main(["reduce", "--type", "prune", "--label", "1",
+                   "--mode", "size", "--param", param,
+                   "--input", fa, "--model", pa])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_error_mode(self, files, capsys):
         tmp, fa, pa = files
         rc = main(["reduce", "--type", "prune", "--label", "3",
@@ -114,7 +123,10 @@ class TestReduce:
                    "--manifest", str(manifest)])
         assert rc == 0
         data = json.loads(manifest.read_text())
-        assert data["command"][0] == "reduce"
+        assert data["command"] == ["reduce", "--type", "prune", "--label",
+                                   "1", "--mode", "size", "--param", "2",
+                                   "--input", fa, "--model", pa,
+                                   "--manifest", str(manifest)]
         assert set(data["inputs"]) == {fa, pa}
         assert data["results"]["output_states"] == 2
 

@@ -3,7 +3,9 @@ brute-force oracles kept independent of the library's solver pipeline."""
 
 import itertools
 
-from nfareduce import Nfa, Pa, accepts, trim, validate_pa, word_prob
+from nfareduce import (Nfa, Pa, Ppa, accepts, product_with_pairs, trim,
+                       trim_survivors, validate_pa, word_prob)
+from nfareduce.nfa import _closure, _explore
 
 ABC = ("a", "b", "c")
 AB = ("a", "b")
@@ -68,6 +70,56 @@ def naive_components(a):
         if not any(q in c for c in comps):
             comps.append(naive_closure([q], pairs))
     return comps
+
+
+def self_product_unambiguous(a):
+    """Ambiguity by the book: build the self-product automaton, trim it,
+    and look for a surviving off-diagonal pair."""
+    prod, pairs = product_with_pairs(a, a)
+    return all(pairs[i][0] == pairs[i][1] for i in trim_survivors(prod))
+
+
+def ppa_product(p, a, final_weights="model"):
+    """The PA x NFA product built as a ``Ppa`` transition by transition;
+    returns (ppa, pair_map)."""
+    def step(pair):
+        qp, qa = pair
+        for sym, dsts in a.moves(qa):
+            row = p.row(sym, qp)
+            for qa2 in dsts:
+                for qp2, w in row.items():
+                    yield (sym, w), (qp2, qa2)
+
+    starts = [(qp, qa) for qp in range(p.num_states) if p.initial[qp] > 0.0
+              for qa in sorted(a.initial)]
+    pairs, edges = _explore(starts, step)
+
+    def is_final(pair):
+        qp, qa = pair
+        if qa not in a.final:
+            return False
+        return True if final_weights == "unit" else p.final[qp] > 0.0
+
+    rev = {}
+    for i, _label, j in edges:
+        rev.setdefault(j, []).append(i)
+    alive = _closure([i for i, pair in enumerate(pairs) if is_final(pair)],
+                     lambda j: rev.get(j, ()))
+
+    kept = [i for i in range(len(pairs)) if i in alive]
+    pos = {old: new for new, old in enumerate(kept)}
+    kept_pairs = tuple(pairs[i] for i in kept)
+    initial = [0.0] * len(kept)
+    for new, (qp, qa) in enumerate(kept_pairs):
+        if qa in a.initial and p.initial[qp] > 0.0:
+            initial[new] = p.initial[qp]
+    final = [0.0] * len(kept)
+    for new, pair in enumerate(kept_pairs):
+        if is_final(pair):
+            final[new] = 1.0 if final_weights == "unit" else p.final[pair[0]]
+    trans = [(pos[i], sym, pos[j], w) for i, (sym, w), j in edges
+             if i in alive and j in alive]
+    return Ppa(a.alphabet, initial, final, trans), kept_pairs
 
 
 def words_upto(alphabet, max_len):
