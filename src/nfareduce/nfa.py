@@ -21,6 +21,7 @@ from .errors import AlphabetMismatchError, DeterminizationCapError
 DEFAULT_DET_CAP = 1 << 20
 
 _NO_MOVES = {}
+_NO_STATES = frozenset()
 
 
 class Nfa:
@@ -34,7 +35,7 @@ class Nfa:
     """
 
     __slots__ = ("num_states", "alphabet", "initial", "final", "name",
-                 "_delta", "_sym_index", "_pred")
+                 "_delta", "_sym_index", "_pred", "_succ")
 
     def __init__(self, num_states, alphabet, transitions=(), initial=(),
                  final=(), name=None):
@@ -70,6 +71,7 @@ class Nfa:
                   for sym in sorted(moves, key=order)}
             for src, moves in sorted(delta.items())}
         self._pred = None
+        self._succ = None
 
     @classmethod
     def _built(cls, num_states, like, delta, initial, final, name=None):
@@ -85,6 +87,7 @@ class Nfa:
         a.name = name
         a._delta = delta
         a._pred = None
+        a._succ = None
         return a
 
     def _check_state(self, q):
@@ -101,8 +104,13 @@ class Nfa:
         return self._delta.get(q, _NO_MOVES).items()
 
     def neighbors(self, q):
-        """All distinct successors of ``q`` over any symbol."""
-        return set().union(*self._delta.get(q, _NO_MOVES).values())
+        """The frozenset of all distinct successors of ``q`` over any
+        symbol; the map behind it is built once per automaton and kept,
+        since automata are immutable."""
+        if self._succ is None:
+            self._succ = {src: frozenset().union(*moves.values())
+                          for src, moves in self._delta.items()}
+        return self._succ.get(q, _NO_STATES)
 
     def transitions(self):
         """Yield (src, sym, dst) triples sorted by (src, alphabet order, dst)."""
@@ -370,12 +378,10 @@ def is_unambiguous(a):
     return all(pairs[j][0] == pairs[j][1] for j in alive)
 
 
-def determinize_with_subsets(a, cap=DEFAULT_DET_CAP):
-    """Subset construction; returns (dfa, subset of original states per
-    new state).  Only subsets reachable from the initial set are built, and
-    the empty successor subset is dropped (the result is a partial DFA).
-    Raises DeterminizationCapError when more than ``cap`` subsets appear.
-    """
+def _subset_step(a):
+    """The subset-successor function of ``a``: it maps a subset of states
+    to its (symbol, successor subset) pairs in alphabet order, leaving out
+    the symbols whose successor subset is empty."""
     order = a._sym_index.__getitem__
     # one frozenset per (state, symbol), so a target that comes from one
     # state alone is that shared object, hashed only once
@@ -398,7 +404,16 @@ def determinize_with_subsets(a, cap=DEFAULT_DET_CAP):
             return targets.items()
         return [(sym, targets[sym]) for sym in sorted(targets, key=order)]
 
-    subsets, edges = _explore([frozenset(a.initial)], step, cap)
+    return step
+
+
+def determinize_with_subsets(a, cap=DEFAULT_DET_CAP):
+    """Subset construction; returns (dfa, subset of original states per
+    new state).  Only subsets reachable from the initial set are built, and
+    the empty successor subset is dropped (the result is a partial DFA).
+    Raises DeterminizationCapError when more than ``cap`` subsets appear.
+    """
+    subsets, edges = _explore([frozenset(a.initial)], _subset_step(a), cap)
     final = [i for i, s in enumerate(subsets) if s & a.final]
     return (Nfa._built(len(subsets), a, _store(edges), [0], final,
                        name=a.name),

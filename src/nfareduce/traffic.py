@@ -6,11 +6,26 @@ every transition taken, and every word ends in a state turns the skeleton
 into a PA in the obvious way.  Unobserved transitions get probability 0 and
 vanish from the support; no smoothing is applied, that is a modelling
 choice left to the caller.
+
+Both the counting (``count_events``) and the empirical error
+(``traffic_error``) run the whole corpus in lockstep.  The corpus is encoded
+once into a flat int32 array of alphabet indices, with the words ordered
+longest first, so the words still running at step t are a prefix; each
+step is then one array lookup ``table[state, symbol]`` for all of them.
+The skeleton is a complete DFA, so its table is dense from the start.  For
+``traffic_error``, each automaton gets a lazy subset table instead: the
+subset construction, with an explicit dead subset, whose rows are filled
+only when a run first reaches them.  Only the subsets the corpus leads to
+are built, under the usual determinization cap.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .nfa import Nfa, accepts
+import numpy as np
+
+from .errors import DeterminizationCapError
+from .nfa import DEFAULT_DET_CAP, Nfa, _subset_step
 from .pa import Pa
 
 
@@ -50,27 +65,47 @@ def _check_skeleton(skeleton, complete=True):
 
 def count_events(skeleton, corpus):
     """Run every corpus word through the skeleton, counting state visits,
-    transition uses and word endings."""
+    transition uses and word endings.
+
+    The skeleton is a complete DFA, so its transition table is dense and
+    every word is stepped to its end.  Each visit to a state is followed by
+    exactly one event, a transition out of it or the end of the word, so a
+    state's visits are its outgoing transitions plus its word endings."""
     _check_skeleton(skeleton)
-    (init,) = skeleton.initial
-    table = CountTable()
-    n_words = 0
-    for word in corpus:
-        n_words += 1
-        q = init
-        table.visit[q] = table.visit.get(q, 0) + 1
-        for sym in word:
-            succ = skeleton.succ(q, sym)
-            if not succ:
-                raise ValueError(f"symbol {sym!r} not in skeleton alphabet")
-            key = (q, sym)
-            table.trans_count[key] = table.trans_count.get(key, 0) + 1
-            q = succ[0]
-            table.visit[q] = table.visit.get(q, 0) + 1
-        table.end_count[q] = table.end_count.get(q, 0) + 1
-    if n_words == 0:
+    words = list(corpus)
+    if not words:
         raise ValueError("corpus is empty")
-    return table
+    n, k = skeleton.num_states, len(skeleton.alphabet)
+    index = skeleton._sym_index
+    table = np.empty((n, k), np.int64)  # so source * k cannot overflow
+    for q, moves in skeleton._delta.items():
+        for sym, (dst,) in moves.items():
+            table[q, index[sym]] = dst
+
+    (init,) = skeleton.initial
+    states = np.full(len(words), init, np.int64)
+    trans = np.zeros(n * k, np.int64)  # by source * k + symbol index
+    for live, syms in _lockstep(words, index, "skeleton alphabet"):
+        src = states[:live]
+        trans += np.bincount(src * k + syms, minlength=n * k)
+        states[:live] = table[src, syms]
+
+    trans = trans.reshape(n, k)
+    ends = np.bincount(states, minlength=n)
+    visits = trans.sum(axis=1) + ends
+    alphabet = skeleton.alphabet
+    return CountTable(
+        visit=_nonzero(visits),
+        trans_count={(q, alphabet[j]): c
+                     for (q, j), c in zip(np.argwhere(trans).tolist(),
+                                          trans[trans > 0].tolist())},
+        end_count=_nonzero(ends))
+
+
+def _nonzero(counts):
+    """index -> count for the non-zero entries, as Python ints."""
+    (where,) = np.nonzero(counts)
+    return dict(zip(where.tolist(), counts[where].tolist()))
 
 
 def learn_pa(skeleton, corpus, name=None):
@@ -128,19 +163,126 @@ def complete_dfa(skeleton):
                name=skeleton.name)
 
 
-def traffic_error(a, a_reduced, sample):
+def traffic_error(a, a_reduced, sample, det_cap=DEFAULT_DET_CAP):
     """Fraction of sample words classified differently by the two automata.
 
     Returns (mismatches, total, ratio); duplicates count with multiplicity.
+    Every symbol of every word must be in the alphabet.  Raises
+    DeterminizationCapError when either automaton's subset table would need
+    more than ``det_cap`` non-empty subsets.
     """
     if set(a.alphabet) != set(a_reduced.alphabet):
         raise ValueError("automata alphabets differ")
-    mismatches = 0
-    total = 0
-    for word in sample:
-        total += 1
-        if accepts(a, word) != accepts(a_reduced, word):
-            mismatches += 1
-    if total == 0:
+    words = list(sample)
+    if not words:
         raise ValueError("sample is empty")
-    return mismatches, total, mismatches / total
+    index = a._sym_index
+    first = _LazySubsets(a, index, det_cap)
+    second = _LazySubsets(a_reduced, index, det_cap)
+    s1 = np.full(len(words), first.start, np.int32)
+    s2 = np.full(len(words), second.start, np.int32)
+    for live, syms in _lockstep(words, index, "alphabet"):
+        s1[:live] = first.step(s1[:live], syms)
+        s2[:live] = second.step(s2[:live], syms)
+    mismatches = int(np.count_nonzero(
+        np.array(first.final)[s1] != np.array(second.final)[s2]))
+    return mismatches, len(words), mismatches / len(words)
+
+
+class _LazySubsets:
+    """The subset construction of ``a``, filled only where a run goes.
+
+    ``table[i, j]`` is the subset reached from subset ``i`` on the symbol
+    in column ``j`` (``columns`` maps symbols to columns).  Subset 0 is the
+    empty, dead subset, which every run that dies stays in.  A row is -1
+    throughout until a step first reads it, and is then filled whole; the
+    table doubles as subsets appear.
+    """
+
+    def __init__(self, a, columns, cap):
+        self._subset_step = _subset_step(a)
+        self._columns = columns
+        self._cap = cap
+        self._accepting = a.final
+        self._index = {}
+        self.subsets = []
+        self.final = []
+        self.table = np.full((2, len(columns)), -1, np.int32)
+        self._add(frozenset())
+        initial = frozenset(a.initial)
+        self.start = self._add(initial) if initial else 0
+
+    def _add(self, subset):
+        i = self._index[subset] = len(self.subsets)
+        self.subsets.append(subset)
+        self.final.append(bool(subset & self._accepting))
+        if i == len(self.table):
+            self.table = np.concatenate([self.table,
+                                         np.full_like(self.table, -1)])
+        return i
+
+    def _fill(self, i):
+        row = [0] * len(self._columns)
+        for sym, subset in self._subset_step(self.subsets[i]):
+            j = self._index.get(subset)
+            if j is None:
+                # the non-empty subsets so far, counted as ``_explore`` does
+                full = len(self.subsets) - 1
+                if self._cap is not None and full >= self._cap:
+                    raise DeterminizationCapError(self._cap)
+                j = self._add(subset)
+            row[self._columns[sym]] = j
+        self.table[i] = row
+
+    def step(self, states, syms):
+        """The subsets the runs in ``states`` reach on ``syms``."""
+        nxt = self.table[states, syms]
+        missing = nxt < 0
+        if missing.any():
+            for i in np.unique(states[missing]).tolist():
+                self._fill(i)
+            nxt[missing] = self.table[states[missing], syms[missing]]
+        return nxt
+
+
+def _lockstep(words, index, alphabet_name):
+    """Step the corpus in lockstep: yields, for each step t, the number of
+    words still running and their symbols at position t, as indices into
+    the alphabet that ``index`` numbers.
+
+    The corpus is encoded once, as one flat int32 array of alphabet
+    indices.  Words are taken longest first, so the words still running at
+    step t are a prefix.  A symbol outside the alphabet raises ValueError,
+    wherever it is.
+    """
+    lengths = np.fromiter(map(len, words), np.int64, len(words))
+    codes = _symbol_codes(words, index, int(lengths.sum()), alphabet_name)
+    offsets = np.zeros(len(words), np.int64)
+    np.cumsum(lengths[:-1], out=offsets[1:])
+    starts = offsets[np.argsort(-lengths, kind="stable")]
+    # words of length >= t, for t = 0 .. longest
+    at_least = np.cumsum(np.bincount(lengths)[::-1])[::-1]
+    for t, live in enumerate(at_least[1:].tolist()):
+        yield live, codes[starts[:live] + t]
+
+
+def _symbol_codes(words, index, total, alphabet_name):
+    """The alphabet index of every symbol of every word, in corpus order."""
+    if all(type(sym) is int and 0 <= sym < 256 for sym in index):
+        # byte payloads: one 256-entry lookup instead of a dict per symbol
+        try:
+            raw = np.frombuffer(bytes(chain.from_iterable(words)), np.uint8)
+        except (TypeError, ValueError):
+            pass  # some symbol is not a byte; the lookups below name it
+        else:
+            lookup = np.full(256, -1, np.int32)
+            lookup[list(index)] = list(index.values())
+            codes = lookup[raw]
+            if not (codes < 0).any():
+                return codes
+    try:
+        return np.fromiter(map(index.__getitem__, chain.from_iterable(words)),
+                           np.int32, total)
+    except KeyError as exc:
+        raise ValueError(
+            f"symbol {exc.args[0]!r} not in {alphabet_name}") from None

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nfareduce import parse_nfa, parse_pa, serialize_pa
+from nfareduce import accepts, parse_nfa, parse_pa, serialize_pa
 from nfareduce.cli import main
 
 from util import lang_upto
@@ -251,6 +251,37 @@ class TestLearnEval:
         assert report["mismatches"] == "1"
         assert report["total"] == "3"
         assert float(report["ratio"]) == pytest.approx(1 / 3)
+
+    def test_eval_foreign_symbol_exit_2(self, files, tmp_path, capsys):
+        _, fa, _ = files
+        sample = tmp_path / "sample.txt"
+        # the run dies on "b" before it reaches "z"
+        sample.write_text("a b\nb z\n")
+        assert main(["eval", fa, fa, "--sample", str(sample)]) == 2
+        assert "error: symbol 'z' not in alphabet" in capsys.readouterr().err
+
+    def test_eval_det_cap(self, files, tmp_path, capsys):
+        _, fa, _ = files
+        ambiguous = tmp_path / "amb.fa"
+        ambiguous.write_text(
+            "%Alphabet a b\n%Initial q0\n%Final q1 q2\n"
+            "q0 a q1\nq0 a q2\nq1 b q0\n")
+        sample = tmp_path / "sample.txt"
+        sample.write_text("a b\nb\na\na a\n")
+        argv = ["eval", str(ambiguous), fa, "--sample", str(sample)]
+        # the row of {q0} reaches the subset {q1, q2}, past a cap of 1
+        assert main(argv + ["--det-cap", "1"]) == 3
+        assert "resource cap:" in capsys.readouterr().err
+        assert main(argv) == 0
+        report = dict(line.split("=", 1)
+                      for line in capsys.readouterr().out.splitlines())
+        amb, a = parse_nfa(ambiguous.read_text()), parse_nfa(A2_FA)
+        words = [tuple(line.split()) for line in sample.read_text()
+                 .splitlines()]
+        assert report["mismatches"] == str(
+            sum(accepts(amb, w) != accepts(a, w) for w in words))
+        assert report["mismatches"] == "3"
+        assert report["total"] == "4"
 
     def test_eval_binary_sample(self, tmp_path, capsys):
         byte_fa = tmp_path / "bytes.fa"

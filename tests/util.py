@@ -3,8 +3,8 @@ brute-force oracles kept independent of the library's solver pipeline."""
 
 import itertools
 
-from nfareduce import (Nfa, Pa, Ppa, accepts, product_with_pairs, trim,
-                       trim_survivors, validate_pa, word_prob)
+from nfareduce import (CountTable, Nfa, Pa, Ppa, accepts, product_with_pairs,
+                       trim, trim_survivors, validate_pa, word_prob)
 from nfareduce.nfa import _closure, _explore
 
 ABC = ("a", "b", "c")
@@ -120,6 +120,23 @@ def ppa_product(p, a, final_weights="model"):
     trans = [(pos[i], sym, pos[j], w) for i, (sym, w), j in edges
              if i in alive and j in alive]
     return Ppa(a.alphabet, initial, final, trans), kept_pairs
+
+
+def per_word_count_events(skeleton, corpus):
+    """Event counts by running the complete DFA ``skeleton`` over each
+    corpus word in turn, one symbol at a time."""
+    (init,) = skeleton.initial
+    table = CountTable()
+    for word in corpus:
+        q = init
+        table.visit[q] = table.visit.get(q, 0) + 1
+        for sym in word:
+            key = (q, sym)
+            table.trans_count[key] = table.trans_count.get(key, 0) + 1
+            (q,) = skeleton.succ(q, sym)
+            table.visit[q] = table.visit.get(q, 0) + 1
+        table.end_count[q] = table.end_count.get(q, 0) + 1
+    return table
 
 
 def words_upto(alphabet, max_len):
