@@ -185,14 +185,13 @@ def cmd_eval(args):
     reduced = _load_nfa(args.second)
     sample = _load_corpus(args.sample, args.format)
     try:
-        mismatches, total, ratio = traffic_error(a, reduced, sample,
-                                                 det_cap=args.det_cap)
+        mismatches, total, ratio = traffic_error(a, reduced, sample)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     _emit([("mismatches", mismatches), ("total", total), ("ratio", ratio)])
     if args.manifest:
         _write_manifest(args, [args.first, args.second, args.sample],
-                        {"format": args.format, "det_cap": args.det_cap}, {},
+                        {"format": args.format}, {},
                         {"mismatches": mismatches, "total": total,
                          "ratio": ratio})
     return EXIT_OK
@@ -209,14 +208,10 @@ def _det_cap(text):
     return cap
 
 
-def _add_det_cap(sub):
-    sub.add_argument("--det-cap", type=_det_cap, default=DEFAULT_DET_CAP,
-                     help="determinization state cap (>= 1)")
-
-
 def _add_shared(sub):
     sub.add_argument("--model", required=True, help="PA model file")
-    _add_det_cap(sub)
+    sub.add_argument("--det-cap", type=_det_cap, default=DEFAULT_DET_CAP,
+                     help="determinization state cap (>= 1)")
     sub.add_argument("--manifest", help="write a JSON run manifest here")
 
 
@@ -274,7 +269,6 @@ def build_parser():
     eval_p.add_argument("second", help="reduced FA file")
     eval_p.add_argument("--sample", required=True, help="sample words file")
     eval_p.add_argument("--format", choices=("text", "bin"), default="text")
-    _add_det_cap(eval_p)
     eval_p.add_argument("--manifest", help="write a JSON run manifest here")
     eval_p.set_defaults(func=cmd_eval)
 

@@ -87,7 +87,7 @@ def count_events(skeleton, corpus):
     trans = np.zeros(n * k, np.int64)  # by source * k + symbol index
     for live, syms in _lockstep(words, index, "skeleton alphabet"):
         src = states[:live]
-        trans += np.bincount(src * k + syms, minlength=n * k)
+        np.add.at(trans, src * k + syms, 1)
         states[:live] = table[src, syms]
 
     trans = trans.reshape(n, k)
@@ -163,13 +163,16 @@ def complete_dfa(skeleton):
                name=skeleton.name)
 
 
-def traffic_error(a, a_reduced, sample, det_cap=DEFAULT_DET_CAP):
+def traffic_error(a, a_reduced, sample):
     """Fraction of sample words classified differently by the two automata.
 
     Returns (mismatches, total, ratio); duplicates count with multiplicity.
     Every symbol of every word must be in the alphabet.  Raises
     DeterminizationCapError when either automaton's subset table would need
-    more than ``det_cap`` non-empty subsets.
+    more than ``DEFAULT_DET_CAP`` non-empty subsets.  A table holds one
+    int32 per (subset, symbol): at the default cap and a byte alphabet, up
+    to about 1 GiB per automaton, twice that for the copy while it grows,
+    besides the subsets themselves.
     """
     if set(a.alphabet) != set(a_reduced.alphabet):
         raise ValueError("automata alphabets differ")
@@ -177,8 +180,8 @@ def traffic_error(a, a_reduced, sample, det_cap=DEFAULT_DET_CAP):
     if not words:
         raise ValueError("sample is empty")
     index = a._sym_index
-    first = _LazySubsets(a, index, det_cap)
-    second = _LazySubsets(a_reduced, index, det_cap)
+    first = _LazySubsets(a, index, DEFAULT_DET_CAP)
+    second = _LazySubsets(a_reduced, index, DEFAULT_DET_CAP)
     s1 = np.full(len(words), first.start, np.int32)
     s2 = np.full(len(words), second.start, np.int32)
     for live, syms in _lockstep(words, index, "alphabet"):
@@ -196,7 +199,7 @@ class _LazySubsets:
     in column ``j`` (``columns`` maps symbols to columns).  Subset 0 is the
     empty, dead subset, which every run that dies stays in.  A row is -1
     throughout until a step first reads it, and is then filled whole; the
-    table doubles as subsets appear.
+    table doubles as subsets appear, up to ``cap`` non-empty subsets.
     """
 
     def __init__(self, a, columns, cap):
@@ -217,8 +220,9 @@ class _LazySubsets:
         self.subsets.append(subset)
         self.final.append(bool(subset & self._accepting))
         if i == len(self.table):
-            self.table = np.concatenate([self.table,
-                                         np.full_like(self.table, -1)])
+            grow = min(len(self.table), self._cap + 1 - i)
+            self.table = np.concatenate(
+                [self.table, np.full((grow, len(self._columns)), -1, np.int32)])
         return i
 
     def _fill(self, i):
@@ -228,7 +232,7 @@ class _LazySubsets:
             if j is None:
                 # the non-empty subsets so far, counted as ``_explore`` does
                 full = len(self.subsets) - 1
-                if self._cap is not None and full >= self._cap:
+                if full >= self._cap:
                     raise DeterminizationCapError(self._cap)
                 j = self._add(subset)
             row[self._columns[sym]] = j
@@ -256,7 +260,12 @@ def _lockstep(words, index, alphabet_name):
     wherever it is.
     """
     lengths = np.fromiter(map(len, words), np.int64, len(words))
-    codes = _symbol_codes(words, index, int(lengths.sum()), alphabet_name)
+    try:
+        codes = np.fromiter(map(index.__getitem__, chain.from_iterable(words)),
+                            np.int32, int(lengths.sum()))
+    except KeyError as exc:
+        raise ValueError(
+            f"symbol {exc.args[0]!r} not in {alphabet_name}") from None
     offsets = np.zeros(len(words), np.int64)
     np.cumsum(lengths[:-1], out=offsets[1:])
     starts = offsets[np.argsort(-lengths, kind="stable")]
@@ -264,25 +273,3 @@ def _lockstep(words, index, alphabet_name):
     at_least = np.cumsum(np.bincount(lengths)[::-1])[::-1]
     for t, live in enumerate(at_least[1:].tolist()):
         yield live, codes[starts[:live] + t]
-
-
-def _symbol_codes(words, index, total, alphabet_name):
-    """The alphabet index of every symbol of every word, in corpus order."""
-    if all(type(sym) is int and 0 <= sym < 256 for sym in index):
-        # byte payloads: one 256-entry lookup instead of a dict per symbol
-        try:
-            raw = np.frombuffer(bytes(chain.from_iterable(words)), np.uint8)
-        except (TypeError, ValueError):
-            pass  # some symbol is not a byte; the lookups below name it
-        else:
-            lookup = np.full(256, -1, np.int32)
-            lookup[list(index)] = list(index.values())
-            codes = lookup[raw]
-            if not (codes < 0).any():
-                return codes
-    try:
-        return np.fromiter(map(index.__getitem__, chain.from_iterable(words)),
-                           np.int32, total)
-    except KeyError as exc:
-        raise ValueError(
-            f"symbol {exc.args[0]!r} not in {alphabet_name}") from None

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nfareduce import accepts, parse_nfa, parse_pa, serialize_pa
+from nfareduce import accepts, parse_nfa, parse_pa, serialize_pa, traffic
 from nfareduce.cli import main
 
 from util import lang_upto
@@ -260,7 +260,7 @@ class TestLearnEval:
         assert main(["eval", fa, fa, "--sample", str(sample)]) == 2
         assert "error: symbol 'z' not in alphabet" in capsys.readouterr().err
 
-    def test_eval_det_cap(self, files, tmp_path, capsys):
+    def test_eval_det_cap(self, files, tmp_path, capsys, monkeypatch):
         _, fa, _ = files
         ambiguous = tmp_path / "amb.fa"
         ambiguous.write_text(
@@ -270,7 +270,9 @@ class TestLearnEval:
         sample.write_text("a b\nb\na\na a\n")
         argv = ["eval", str(ambiguous), fa, "--sample", str(sample)]
         # the row of {q0} reaches the subset {q1, q2}, past a cap of 1
-        assert main(argv + ["--det-cap", "1"]) == 3
+        with monkeypatch.context() as m:
+            m.setattr(traffic, "DEFAULT_DET_CAP", 1)
+            assert main(argv) == 3
         assert "resource cap:" in capsys.readouterr().err
         assert main(argv) == 0
         report = dict(line.split("=", 1)

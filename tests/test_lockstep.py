@@ -4,8 +4,8 @@ automata and corpora.
 ``traffic_error`` steps every word at once through lazily filled subset
 tables; the oracle is ``accepts`` run word by word.  ``count_events`` steps
 every word at once through the skeleton's dense table; the oracle is the
-per-word counting loop.  Both string and byte alphabets are drawn, since
-byte alphabets are encoded through a lookup array and others through a dict.
+per-word counting loop.  Both string and byte alphabets are drawn, as text
+and binary corpora give them.
 """
 
 import pytest

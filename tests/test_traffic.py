@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nfareduce import traffic
 from nfareduce import (DeterminizationCapError, Nfa, accepts, complete_dfa,
                        count_events, determinize, learn_pa, reduce_prune,
                        reduce_selfloop, traffic_error, validate_pa, word_prob)
@@ -160,17 +161,19 @@ class TestTrafficError:
         with pytest.raises(ValueError, match="symbol 'z' not in alphabet"):
             traffic_error(a, a, [("b", "z")])
 
-    def test_cap_counts_only_the_subsets_runs_reach(self):
+    def test_cap_counts_only_the_subsets_runs_reach(self, monkeypatch):
         # subsets {0}, {1, 2}, {0, 3}; a filled row numbers its targets, so
         # a sample that stays in {0} numbers two of the three
         a = Nfa(4, AB, [(0, "a", 1), (0, "a", 2), (1, "b", 0), (2, "b", 3)],
                 [0], [1, 2])
         with pytest.raises(DeterminizationCapError):
             determinize(a, cap=2)
-        assert traffic_error(a, a, [("b",)], det_cap=2) == (0, 1, 0.0)
+        monkeypatch.setattr(traffic, "DEFAULT_DET_CAP", 2)
+        assert traffic_error(a, a, [("b",)]) == (0, 1, 0.0)
         with pytest.raises(DeterminizationCapError):
-            traffic_error(a, a, [("a", "b")], det_cap=2)
-        assert traffic_error(a, a, [("a", "b")], det_cap=3) == (0, 1, 0.0)
+            traffic_error(a, a, [("a", "b")])
+        monkeypatch.setattr(traffic, "DEFAULT_DET_CAP", 3)
+        assert traffic_error(a, a, [("a", "b")]) == (0, 1, 0.0)
 
     def test_duplicates_count(self):
         a = a2()
