@@ -157,7 +157,8 @@ def cmd_label(args):
         sys.stdout.write(text)
     if args.manifest:
         _write_manifest(args, [args.input, args.model],
-                        {"type": args.type, "label": args.label}, {}, {})
+                        {"type": args.type, "label": args.label,
+                         "det_cap": args.det_cap}, {}, {})
     return EXIT_OK
 
 

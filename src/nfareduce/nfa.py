@@ -305,6 +305,19 @@ def union(a1, a2):
                final=sorted(a1.final) + [q + off for q in sorted(a2.final)])
 
 
+def _symmetric_difference(a1, a2, cap=DEFAULT_DET_CAP):
+    """Partial DFA accepting the words in exactly one of L(a1) and L(a2):
+    the subset construction on their union, with a subset final when it
+    holds a final state of one side only.  Raises DeterminizationCapError
+    when more than ``cap`` subsets appear."""
+    dfa, subsets = determinize_with_subsets(union(a1, a2), cap)
+    off = a1.num_states
+    final2 = frozenset(q + off for q in a2.final)
+    final = [i for i, s in enumerate(subsets)
+             if bool(s & a1.final) != bool(s & final2)]
+    return Nfa._built(dfa.num_states, dfa, dfa._delta, dfa.initial, final)
+
+
 def product_with_pairs(a1, a2):
     """Standard product automaton restricted to pairs reachable from the
     initial pairs; returns (automaton, pair-of-origin per product state)."""

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from .labels import label_prune, label_selfloop
 from .langprob import prob_lang
 from .nfa import (DEFAULT_DET_CAP, Nfa, _check_states, _closure,
-                  _predecessors, product, restrict, self_loop)
+                  _predecessors, _symmetric_difference, restrict, self_loop)
 
 KINDS = ("prune", "selfloop")
 MODES = ("size", "error")
-
-DISTANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -180,6 +178,21 @@ def _err(a, kind, v, lab):
     return err_prune(a, v, lab) if kind == "prune" else err_selfloop(a, v, lab)
 
 
+def _report(a, kind, chosen, labels, label_time, t1):
+    """Reduce ``a`` by the greedy's ``chosen`` set and report it with its
+    error bound; the reduce time runs from ``t1``."""
+    reduced = _reduce(a, kind, chosen)
+    if kind == "prune":
+        raw = err_prune(a, chosen, labels)
+        bound = raw
+    else:
+        raw = _err_selfloop_raw(a, chosen, labels)
+        bound = min(1.0, raw)
+    reduce_time = time.perf_counter() - t1
+    return ReductionReport(reduced, bound, frozenset(chosen), a.num_states,
+                           reduced.num_states, label_time, reduce_time, raw)
+
+
 def greedy_size_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
     """Grow the sacrificed set in label order until the reduced automaton
     fits the state bound; report the reduced automaton and the error bound.
@@ -208,16 +221,7 @@ def greedy_size_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
         chosen.add(q)
         if len(_survivors(a, cfg.kind, chosen)) <= n:
             break
-    reduced = _reduce(a, cfg.kind, chosen)
-    if cfg.kind == "prune":
-        raw = err_prune(a, chosen, labels)
-        bound = raw
-    else:
-        raw = _err_selfloop_raw(a, chosen, labels)
-        bound = min(1.0, raw)
-    reduce_time = time.perf_counter() - t1
-    return ReductionReport(reduced, bound, frozenset(chosen), a.num_states,
-                           reduced.num_states, label_time, reduce_time, raw)
+    return _report(a, cfg.kind, chosen, labels, label_time, t1)
 
 
 def greedy_error_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
@@ -239,26 +243,12 @@ def greedy_error_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
     for q in order:
         if _err(a, cfg.kind, chosen | {q}, labels) <= budget:
             chosen.add(q)
-    reduced = _reduce(a, cfg.kind, chosen)
-    if cfg.kind == "prune":
-        raw = err_prune(a, chosen, labels)
-        bound = raw
-    else:
-        raw = _err_selfloop_raw(a, chosen, labels)
-        bound = min(1.0, raw)
-    reduce_time = time.perf_counter() - t1
-    return ReductionReport(reduced, bound, frozenset(chosen), a.num_states,
-                           reduced.num_states, label_time, reduce_time, raw)
+    return _report(a, cfg.kind, chosen, labels, label_time, t1)
 
 
 def distance(a1, a2, p, det_cap=DEFAULT_DET_CAP):
-    """Probabilistic distance: the mass of the symmetric difference of the
-    two languages, computed by inclusion-exclusion over the intersection."""
-    p1 = prob_lang(p, a1, det_cap)
-    p2 = prob_lang(p, a2, det_cap)
-    p12 = prob_lang(p, product(a1, a2), det_cap)
-    d = p1 + p2 - 2.0 * p12
-    if d < -DISTANCE_TOL or d > 1.0 + DISTANCE_TOL:
-        raise RuntimeError(f"distance {d!r} outside [0, 1] beyond tolerance "
-                           "(internal error)")
-    return min(max(d, 0.0), 1.0)
+    """Probabilistic distance: the probability of the symmetric difference
+    of the two languages, one language-probability solve on the DFA that
+    accepts it.  The union of the two automata is determinized under
+    ``det_cap``."""
+    return prob_lang(p, _symmetric_difference(a1, a2, det_cap))

@@ -204,6 +204,16 @@ class TestLabel:
         assert float(rows[1][1]) == pytest.approx(8 / 27, abs=1e-12)
 
 
+    def test_manifest_records_det_cap(self, files, capsys):
+        tmp, fa, pa = files
+        manifest = tmp / "run.json"
+        assert main(["label", "--type", "prune", "--label", "3",
+                     "--input", fa, "--model", pa, "--det-cap", "5000",
+                     "--manifest", str(manifest)]) == 0
+        data = json.loads(manifest.read_text())
+        assert data["config"] == {"type": "prune", "label": 3,
+                                  "det_cap": 5000}
+
 class TestLearnEval:
     def test_learn_round_trip(self, tmp_path, capsys):
         skeleton = tmp_path / "skel.fa"

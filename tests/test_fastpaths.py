@@ -15,26 +15,9 @@ from hypothesis import strategies as st
 from nfareduce import (Nfa, Ppa, banguage_nfa, determinize, is_unambiguous,
                        product, product_pa_nfa, through_state)
 
-from util import ppa_product, self_product_unambiguous
-
-# an alphabet whose order is not lexical, so alphabet order is tested
-BA = ("b", "a")
+from util import BA, nfas, ppa_product, self_product_unambiguous
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
-
-
-@st.composite
-def nfas(draw, min_states=0):
-    """A random NFA over BA with up to 6 states; any number of initial
-    states, and up to two successors per state and symbol on average."""
-    n = draw(st.integers(min_states, 6))
-    if n == 0:
-        return Nfa(0, BA)
-    states = st.integers(0, n - 1)
-    transitions = draw(st.lists(st.tuples(states, st.sampled_from(BA),
-                                          states), max_size=24))
-    return Nfa(n, BA, transitions, draw(st.frozensets(states)),
-               draw(st.frozensets(states)))
 
 
 @st.composite

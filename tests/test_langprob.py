@@ -143,9 +143,10 @@ class TestBfProbLang:
 
 
 class TestSparseSolvePath:
-    def test_large_chain_uses_neumann_iteration(self):
-        # a 2050-state chain pushes the product past the dense-solve limit;
-        # the language is a single long word with a geometric closed form
+    def test_large_chain_uses_sparse_direct_solve(self):
+        # a 2050-state chain pushes the product past the dense-solve limit,
+        # onto the sparse LU; the language is a single long word with a
+        # geometric closed form
         from nfareduce import Pa
         from nfareduce.langprob import DENSE_SOLVE_LIMIT
         n = 2050
@@ -155,7 +156,7 @@ class TestSparseSolvePath:
         chain = Nfa(n + 1, ("a",), [(i, "a", i + 1) for i in range(n)],
                     [0], [n])
         assert prob_lang(p, chain) == pytest.approx(
-            cont ** n * (1.0 - cont), rel=1e-9)
+            cont ** n * (1.0 - cont), rel=1e-12, abs=0.0)
 
 
 class TestInvariants:

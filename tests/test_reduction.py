@@ -230,6 +230,18 @@ class TestDistance:
         assert distance(a, reduce_selfloop(a, [1]), p_exp_ab()) == \
             pytest.approx(8 / 27, abs=1e-12)
 
+    def test_mass_far_below_either_language(self):
+        # L1 = Sigma* a + {b^40} and L2 = Sigma* a differ in the one word
+        # b^40, of probability 3^-41 (to 2e-15, as the model's 1/3 is
+        # rounded); inclusion-exclusion over the two languages of mass 1/2
+        # cancels it to 0
+        sigma_star_a = [(0, s, 0) for s in AB] + [(0, "a", 1)]
+        b40 = [(2 + i, "b", 3 + i) for i in range(40)]
+        a1 = Nfa(43, AB, sigma_star_a + b40, [0, 2], [1, 42])
+        a2 = Nfa(2, AB, sigma_star_a, [0], [1])
+        assert distance(a1, a2, p_exp_ab()) == pytest.approx(
+            1 / 3 ** 41, rel=1e-12, abs=0.0)
+
     def test_matches_symmetric_difference_enumeration(self):
         rng = random.Random(58)
         for _ in range(15):

@@ -1,0 +1,114 @@
+"""The direct solves and the one-solve distance against 40-digit mpmath
+references, on random small automata and models.
+
+``prob_lang`` and ``weight_lang`` are held to an mpmath solve of the
+product with the determinized automaton, on the dense and on the sparse
+path.  ``distance`` solves once on the symmetric-difference DFA; it is held
+to inclusion-exclusion carried out in mpmath, where the cancellation costs
+no float digits.
+"""
+
+import os
+import subprocess
+import sys
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nfareduce
+from nfareduce import Pa, accepts, distance, prob_lang, weight_lang
+from nfareduce import langprob
+from nfareduce.nfa import _symmetric_difference
+
+from util import BA, mp_distance, mp_lang, nfas, words_upto
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+# automata with some initial and some final state, so most languages are
+# not empty
+LIVE_NFAS = nfas(min_states=1, max_states=5).filter(
+    lambda a: a.initial and a.final)
+
+# below any distance these instances produce, above the reference's own
+# 40-digit round-off when two languages are equal
+ZERO_FLOOR = 1e-30
+
+
+@st.composite
+def pas(draw):
+    """A random PA with 1-2 states over BA in either order.  Each state
+    draws integer weights 0-3 per (symbol, target) and 1-3 for its final
+    weight, normalised to sum to 1, so every state can stop."""
+    n = draw(st.integers(1, 2))
+    alphabet = draw(st.sampled_from([BA, BA[::-1]]))
+    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                  .filter(any))
+    initial = [c / sum(counts) for c in counts]
+    final = []
+    transitions = []
+    for q in range(n):
+        stop = draw(st.integers(1, 3))
+        moves = draw(st.lists(st.integers(0, 3), min_size=2 * n,
+                              max_size=2 * n))
+        total = stop + sum(moves)
+        final.append(stop / total)
+        transitions += [(q, alphabet[k % 2], k // 2, c / total)
+                        for k, c in enumerate(moves) if c]
+    return Pa(alphabet, initial, final, transitions)
+
+
+@SETTINGS
+@given(pas(), LIVE_NFAS)
+def test_prob_and_weight_match_mpmath(p, a):
+    want_prob = float(mp_lang(p, a))
+    want_weight = float(mp_lang(p, a, "unit"))
+    for limit in (langprob.DENSE_SOLVE_LIMIT, 0):
+        with mock.patch.object(langprob, "DENSE_SOLVE_LIMIT", limit):
+            assert prob_lang(p, a) == pytest.approx(want_prob, rel=1e-12,
+                                                    abs=0.0)
+            assert weight_lang(p, a) == pytest.approx(want_weight,
+                                                      rel=1e-12, abs=0.0)
+
+
+@SETTINGS
+@given(pas(), LIVE_NFAS, LIVE_NFAS)
+def test_distance_matches_mpmath_inclusion_exclusion(p, a1, a2):
+    want = mp_distance(p, a1, a2)
+    for d in (distance(a1, a2, p), distance(a2, a1, p)):
+        assert d == pytest.approx(want, rel=1e-12, abs=ZERO_FLOOR)
+
+
+@SETTINGS
+@given(nfas(), nfas())
+def test_symmetric_difference_dfa(a1, a2):
+    sd = _symmetric_difference(a1, a2)
+    assert len(sd.initial) == 1
+    assert all(len(dsts) == 1 for q in range(sd.num_states)
+               for _sym, dsts in sd.moves(q))
+    for w in words_upto(BA, 5):
+        assert accepts(sd, w) == (accepts(a1, w) != accepts(a2, w))
+
+
+@pytest.mark.parametrize("limit", [langprob.DENSE_SOLVE_LIMIT, 0],
+                         ids=["dense", "sparse"])
+def test_singular_system_is_an_internal_error(monkeypatch, limit):
+    # one state with a self-loop of weight 1: I - E is singular
+    monkeypatch.setattr(langprob, "DENSE_SOLVE_LIMIT", limit)
+    one = np.array([1.0])
+    zero = np.array([0])
+    r = langprob.ProductPpa(BA, ((0, 0),), one, one, zero, zero, zero, one)
+    with pytest.raises(RuntimeError, match="singular linear system"):
+        langprob._solve_star(r)
+
+
+def test_import_leaves_scipy_out():
+    # scipy costs start-up time and memory; only large solves import it
+    code = "import sys, nfareduce; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(nfareduce.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

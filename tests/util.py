@@ -3,12 +3,21 @@ brute-force oracles kept independent of the library's solver pipeline."""
 
 import itertools
 
-from nfareduce import (CountTable, Nfa, Pa, Ppa, accepts, product_with_pairs,
-                       trim, trim_survivors, validate_pa, word_prob)
+import mpmath
+from hypothesis import strategies as st
+
+from nfareduce import (CountTable, Nfa, Pa, Ppa, accepts, determinize,
+                       product, product_pa_nfa, product_with_pairs, trim,
+                       trim_survivors, validate_pa, word_prob)
 from nfareduce.nfa import _closure, _explore
 
 ABC = ("a", "b", "c")
 AB = ("a", "b")
+# an alphabet whose order is not lexical, so alphabet order is tested
+BA = ("b", "a")
+
+# digits of the mpmath reference solves
+MP_DPS = 40
 
 
 def a2():
@@ -122,6 +131,49 @@ def ppa_product(p, a, final_weights="model"):
     return Ppa(a.alphabet, initial, final, trans), kept_pairs
 
 
+def mp_solve_star(r):
+    """initial . (I - E)^-1 . final of the product ``r`` (a ``ProductPpa``)
+    as an mpf, in MP_DPS-digit arithmetic: the reference the float solver
+    is held to.  (I - E) x = final is solved by sparse Gaussian elimination
+    on the diagonal, which an M-matrix admits."""
+    n = len(r.pair_map)
+    with mpmath.workdps(MP_DPS):
+        rows = [{i: mpmath.mpf(1)} for i in range(n)]
+        for i, j, w in zip(r.src.tolist(), r.dst.tolist(),
+                           r.weight.tolist()):
+            rows[i][j] = rows[i].get(j, mpmath.mpf(0)) - w
+        x = [mpmath.mpf(v) for v in r.final.tolist()]
+        for k in range(n):
+            pivot = rows[k]
+            for i in range(k + 1, n):
+                row = rows[i]
+                if k in row:
+                    f = row.pop(k) / pivot[k]
+                    for j, v in pivot.items():
+                        if j > k:
+                            row[j] = row.get(j, 0) - f * v
+                    x[i] -= f * x[k]
+        for k in reversed(range(n)):
+            x[k] = (x[k] - mpmath.fsum(v * x[j] for j, v in rows[k].items()
+                                       if j > k)) / rows[k][k]
+        return mpmath.fsum(w * x[i] for i, w in enumerate(r.initial.tolist()))
+
+
+def mp_lang(p, a, final_weights="model"):
+    """Reference probability (or, with ``final_weights="unit"``, weight)
+    of L(a): the MP_DPS-digit solve on the product with determinize(a)."""
+    return mp_solve_star(product_pa_nfa(p, determinize(a), final_weights))
+
+
+def mp_distance(p, a1, a2):
+    """Reference distance by inclusion-exclusion, p1 + p2 - 2 p12, in
+    MP_DPS-digit arithmetic, where the cancellation costs no float digits."""
+    with mpmath.workdps(MP_DPS):
+        d = (mp_lang(p, a1) + mp_lang(p, a2)
+             - 2 * mp_lang(p, product(a1, a2)))
+        return float(d)
+
+
 def per_word_count_events(skeleton, corpus):
     """Event counts by running the complete DFA ``skeleton`` over each
     corpus word in turn, one symbol at a time."""
@@ -158,6 +210,21 @@ def naive_lang_prob(p, a, max_len):
 
 def naive_total_mass(p, alphabet, max_len):
     return sum(word_prob(p, w) for w in words_upto(alphabet, max_len))
+
+
+@st.composite
+def nfas(draw, min_states=0, max_states=6):
+    """A random NFA over BA with up to ``max_states`` states; any number of
+    initial states, and up to two successors per state and symbol on
+    average."""
+    n = draw(st.integers(min_states, max_states))
+    if n == 0:
+        return Nfa(0, BA)
+    states = st.integers(0, n - 1)
+    transitions = draw(st.lists(st.tuples(states, st.sampled_from(BA),
+                                          states), max_size=4 * max_states))
+    return Nfa(n, BA, transitions, draw(st.frozensets(states)),
+               draw(st.frozensets(states)))
 
 
 def random_nfa(rng, max_states=8, alphabet=ABC, single_initial=False,
