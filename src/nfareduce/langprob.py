@@ -15,6 +15,10 @@ pivoting keeps the diagonal pivots, and eliminating on the diagonal keeps
 every Schur complement an M-matrix.  scipy is imported only when a product
 exceeds the dense limit: loading scipy.sparse costs a run more start-up
 time and resident memory than its dense solves do.
+
+The labelling engine (``labels``) takes y itself (``_solve_y``), on an
+untrimmed product with a DFA: there E is dominated by the PA's own
+transition matrix, so I - E stays nonsingular without trimming.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,8 @@ CLAMP_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ProductPpa:
-    """Trimmed product of a PA and an NFA, as arrays.
+    """Product of a PA and an automaton, as arrays; ``product_pa_nfa``
+    builds the trimmed one.
 
     ``pair_map[i]`` gives the (pa_state, nfa_state) origin of product
     state ``i``; ``initial`` and ``final`` are the weight vectors.  Entry
@@ -136,32 +141,60 @@ def product_pa_nfa(p, a, final_weights="model"):
                       src[perm], sym[perm], dst[perm], weight[perm])
 
 
-def _solve_star(r):
-    """Evaluate initial . (I - E)^-1 . final on a trimmed product PPA, as
-    y . final with y solving y (I - E) = initial."""
-    n = len(r.pair_map)
-    if n == 0:
-        return 0.0
-    # (I - E)^T, with the entries of E summed at (dst, src)
+def _solve(n, rows, cols, weight, rhs):
+    """x solving (I - M) x = rhs, where M is n x n with the ``weight``
+    entries summed at (``rows``, ``cols``): dense LU up to
+    ``DENSE_SOLVE_LIMIT`` unknowns, sparse LU with diagonal pivots beyond."""
     try:
         if n <= DENSE_SOLVE_LIMIT:
             m = np.zeros((n, n))
-            np.add.at(m, (r.dst, r.src), r.weight)
+            np.add.at(m, (rows, cols), weight)
             np.negative(m, out=m)
             m.flat[::n + 1] += 1.0
-            y = np.linalg.solve(m, r.initial)
-        else:
-            import scipy.sparse as sp
-            from scipy.sparse.linalg import splu
-            m = (sp.identity(n, format="csc")
-                 - sp.csc_matrix((r.weight, (r.dst, r.src)), shape=(n, n)))
-            y = splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True}).solve(r.initial)
+            return np.linalg.solve(m, rhs)
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+        m = (sp.identity(n, format="csc")
+             - sp.csc_matrix((weight, (rows, cols)), shape=(n, n)))
+        return splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True}).solve(rhs)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         # splu reports an exactly singular factor as a RuntimeError
-        raise RuntimeError("singular linear system: product is not trim "
-                           "(internal error)") from exc
-    return float(y @ r.final)
+        raise RuntimeError("singular linear system: spectral radius not "
+                           "below 1 (internal error)") from exc
+
+
+def _solve_y(r):
+    """The row vector y = initial . (I - E)^-1 of a product PPA, from the
+    transposed system (I - E)^T y = initial.  The product need not be
+    trim when its automaton is deterministic: E is then dominated by the
+    PA's own transition matrix, whose spectral radius is below 1."""
+    n = len(r.pair_map)
+    if n == 0:
+        return np.zeros(0)
+    # (I - E)^T, with the entries of E summed at (dst, src)
+    return _solve(n, r.dst, r.src, r.weight, r.initial)
+
+
+def _solve_star(r):
+    """Evaluate initial . (I - E)^-1 . final on a product PPA, as y . final."""
+    if not r.pair_map:
+        return 0.0
+    return float(_solve_y(r) @ r.final)
+
+
+def _continuation_mass(p):
+    """z = (I - T)^-1 . final: per PA state, the total probability of the
+    words read from it.  It is 1 for a PA that is exactly stochastic, and
+    within the PA's stochasticity tolerance of 1 otherwise."""
+    src, dst, weight = [], [], []
+    for qp, _sym, qp2, w in p.entries():
+        src.append(qp)
+        dst.append(qp2)
+        weight.append(w)
+    return _solve(p.num_states, np.array(src, dtype=np.intp),
+                  np.array(dst, dtype=np.intp), np.array(weight, dtype=float),
+                  np.array(p.final, dtype=float))
 
 
 def _lang_value(p, a, final_weights, det_cap):
@@ -170,13 +203,17 @@ def _lang_value(p, a, final_weights, det_cap):
     return _solve_star(product_pa_nfa(p, a, final_weights))
 
 
-def prob_lang(p, a, det_cap=DEFAULT_DET_CAP):
-    """Probability of L(a) under PA ``p``, in [0, 1]."""
-    val = _lang_value(p, a, "model", det_cap)
+def _as_prob(val):
+    """A computed language probability, clamped to [0, 1]."""
     if val < -CLAMP_TOL or val > 1.0 + CLAMP_TOL:
         raise RuntimeError(f"language probability {val!r} outside [0, 1] "
                            "beyond tolerance (internal error)")
     return min(max(val, 0.0), 1.0)
+
+
+def prob_lang(p, a, det_cap=DEFAULT_DET_CAP):
+    """Probability of L(a) under PA ``p``, in [0, 1]."""
+    return _as_prob(_lang_value(p, a, "model", det_cap))
 
 
 def weight_lang(p, a, det_cap=DEFAULT_DET_CAP):

@@ -353,9 +353,14 @@ def is_unambiguous(a):
     (p, q) is reachable in its self-product, from an initial pair, on the
     same word, and can still reach a final pair.  The pair graph is
     explored directly, as unordered pairs (p <= q); no product automaton
-    is built.
+    is built.  A deterministic automaton (at most one initial state and at
+    most one successor per state and symbol) is unambiguous; that is
+    checked first, in one pass over the store.
     """
     delta = a._delta
+    if len(a.initial) <= 1 and all(len(dsts) == 1 for moves in delta.values()
+                                   for dsts in moves.values()):
+        return True
 
     def step(pair):
         p, q = pair

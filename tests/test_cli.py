@@ -97,22 +97,24 @@ class TestReduce:
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
     def test_exact_infeasible_under_cap(self, files, tmp_path, capsys):
-        # variant-1 labels only ever evaluate single-final back-languages,
-        # which stay unambiguous here, so the reduction itself fits under a
-        # cap of 1; the exact distance needs a determinization and does not
+        # the labels determinize the component (4 subsets), which fits a
+        # cap of 4; the exact distance determinizes the union of input and
+        # output (5 subsets), which does not
         _, _, pa = files
-        ambiguous = tmp_path / "amb.fa"
-        ambiguous.write_text(
-            "%Alphabet a b\n%Initial q0\n%Final q1 q2\n"
-            "q0 a q1\nq0 a q2\n")
-        rc = main(["reduce", "--type", "prune", "--label", "1",
-                   "--mode", "size", "--param", "2",
-                   "--input", str(ambiguous), "--model", pa,
-                   "--det-cap", "1", "--exact"])
-        assert rc == 0
+        fa = tmp_path / "four.fa"
+        fa.write_text("%Alphabet a b\n%Initial 0\n%Final 1 2 3\n"
+                      "0 a 3\n0 b 2\n1 b 2\n2 b 1\n")
+        argv = ["reduce", "--type", "prune", "--label", "1",
+                "--mode", "size", "--param", "2",
+                "--input", str(fa), "--model", pa, "--exact"]
+        assert main(argv + ["--det-cap", "4"]) == 0
         report = dict(line.split("=", 1)
                       for line in capsys.readouterr().out.splitlines())
         assert report["exact_distance"] == "infeasible"
+        assert main(argv + ["--det-cap", "5"]) == 0
+        report = dict(line.split("=", 1)
+                      for line in capsys.readouterr().out.splitlines())
+        assert float(report["exact_distance"]) >= 0.0
 
     def test_manifest(self, files, capsys):
         tmp, fa, pa = files
@@ -203,6 +205,25 @@ class TestLabel:
         rows = [line.split("\t") for line in out.read_text().splitlines()]
         assert float(rows[1][1]) == pytest.approx(8 / 27, abs=1e-12)
 
+    @pytest.mark.parametrize("kind, variant", [("prune", "1"), ("prune", "2"),
+                                               ("selfloop", "1"),
+                                               ("selfloop", "2")])
+    def test_label_det_cap_exit_3(self, files, tmp_path, capsys, kind,
+                                  variant):
+        # these labels determinize each component once, here into 2
+        # subsets, and need no other determinization
+        _, _, pa = files
+        ambiguous = tmp_path / "amb.fa"
+        ambiguous.write_text(
+            "%Alphabet a b\n%Initial q0\n%Final q1 q2\n"
+            "q0 a q1\nq0 a q2\nq1 b q0\n")
+        argv = ["label", "--type", kind, "--label", variant,
+                "--input", str(ambiguous), "--model", pa]
+        assert main(argv + ["--det-cap", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap: ")
+        assert "Traceback" not in err
+        assert main(argv + ["--det-cap", "2"]) == 0
 
     def test_manifest_records_det_cap(self, files, capsys):
         tmp, fa, pa = files

@@ -1,8 +1,9 @@
 """The fast paths of the language-probability pipeline against the
 constructions they replace, on random small automata and models.
 
-``is_unambiguous`` walks the pair graph directly; the oracle builds and
-trims the self-product.  ``product_pa_nfa`` writes its entries straight to
+``is_unambiguous`` answers deterministic automata by one pass over the
+store and walks the pair graph otherwise; the oracle builds and trims the
+self-product.  ``product_pa_nfa`` writes its entries straight to
 arrays; the oracle builds a ``Ppa`` transition by transition.  The subset
 construction, the product, ``through_state`` and ``banguage_nfa`` fill the
 transition store without re-validation; rebuilding them through
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from nfareduce import (Nfa, Ppa, banguage_nfa, determinize, is_unambiguous,
                        product, product_pa_nfa, through_state)
 
-from util import BA, nfas, ppa_product, self_product_unambiguous
+from util import BA, dfas, nfas, ppa_product, self_product_unambiguous
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -42,6 +43,13 @@ def entry_key(a):
 @given(nfas())
 def test_is_unambiguous_matches_self_product(a):
     assert is_unambiguous(a) == self_product_unambiguous(a)
+
+
+@SETTINGS
+@given(dfas())
+def test_deterministic_automata_are_unambiguous(a):
+    assert is_unambiguous(a)
+    assert self_product_unambiguous(a)
 
 
 @SETTINGS

@@ -4,8 +4,8 @@ and the distance on one small instance, on both solve paths.
 Faster code paths must not change a single bit of these values: state
 numberings and summation orders feed the linear systems, so any change in
 either shows here before it shows in a rounded comparison.  The pins are
-not taken on trust: every solve behind them is also held to a 40-digit
-mpmath solve of the same product.
+not taken on trust: every solve behind them, the value and each entry of
+its vector y, is also held to a 40-digit mpmath solve of the same product.
 """
 
 import pytest
@@ -13,9 +13,9 @@ import pytest
 from nfareduce import (Nfa, Pa, distance, is_unambiguous, label_prune,
                        label_selfloop, prob_lang, reduce_prune, validate_pa,
                        weight_lang)
-from nfareduce import langprob
+from nfareduce import labels, langprob
 
-from util import mp_solve_star
+from util import mp_solve_star, mp_solve_y
 
 ABC = ("a", "b", "c")
 
@@ -52,49 +52,67 @@ DENSE = {
            "0x1.a8bcc5ad30875p-7", "0x1.a8bcc5ad30875p-7",
            "0x1.f662203bd653dp-4", "0x1.2d6e13571a326p-5",
            "0x1.f662203bd653dp-4"),
-    "sl1": ("0x1.9bd37a6f4de9cp+2", "0x1.0975fb8c3e54ap+1",
+    "sl1": ("0x1.9bd37a6f4de9ap+2", "0x1.0975fb8c3e549p+1",
             "0x1.0975fb8c3e549p-1", "0x1.0975fb8c3e549p-3",
-            "0x1.c08e78356d142p+0", "0x1.0d2248200e3f4p-1",
+            "0x1.c08e78356d140p+0", "0x1.0d2248200e3f3p-1",
             "0x1.39fd542565f46p-1"),
     "sl2": ("0x1.0000000000000p+0", "0x1.69d0369d0369ep-1",
-            "0x1.5206bb7024d99p-2", "0x1.d0a2abcd97688p-4",
-            "0x1.31aed6a9264e2p-1", "0x1.1e3f18eb57a94p-2",
-            "0x1.8fd2145698db1p-2"),
+            "0x1.5206bb7024d9ap-2", "0x1.d0a2abcd9768ap-4",
+            "0x1.31aed6a9264e3p-1", "0x1.1e3f18eb57a96p-2",
+            "0x1.8fd2145698db3p-2"),
     "sl3": ("0x1.ba90c8e1d0736p-1", "0x1.632d43864ea7cp-1",
-            "0x1.44c0d542bb555p-2", "0x1.9b8b1317f1579p-4",
-            "0x1.e5c5254357075p-2", "0x1.f122ad00e8c5ep-3",
-            "0x1.12398c47a3462p-2"),
+            "0x1.44c0d542bb556p-2", "0x1.9b8b1317f157bp-4",
+            "0x1.e5c5254357077p-2", "0x1.f122ad00e8c62p-3",
+            "0x1.12398c47a3464p-2"),
 }
 
 SPARSE = {
     "prob": "0x1.15bcdc78be326p-3",
     "weight": "0x1.7c5ad30875898p-1",
     "distance": "0x1.f662203bd653dp-4",
-    "p1": ("0x1.15bcdc78be326p-3", "0x1.a8bcc5ad30877p-7",
-           "0x1.a8bcc5ad30877p-7", "0x1.a8bcc5ad30877p-7",
+    "p1": ("0x1.15bcdc78be326p-3", "0x1.a8bcc5ad30875p-7",
+           "0x1.a8bcc5ad30875p-7", "0x1.a8bcc5ad30875p-7",
            "0x1.f662203bd653dp-4", "0x1.f662203bd653dp-4",
            "0x1.f662203bd653dp-4"),
-    "p2": ("0x1.15bcdc78be326p-3", "0x1.a8bcc5ad30877p-7",
-           "0x1.a8bcc5ad30877p-7", "0x1.a8bcc5ad30877p-7",
+    "p2": ("0x1.15bcdc78be326p-3", "0x1.a8bcc5ad30875p-7",
+           "0x1.a8bcc5ad30875p-7", "0x1.a8bcc5ad30875p-7",
            "0x1.f662203bd653dp-4", "0x1.f662203bd653dp-4",
            "0x1.f662203bd653dp-4"),
     "p3": ("0x1.15bcdc78be326p-3", "0x1.a8bcc5ad30877p-7",
            "0x1.a8bcc5ad30877p-7", "0x1.a8bcc5ad30877p-7",
            "0x1.f662203bd653dp-4", "0x1.2d6e13571a326p-5",
            "0x1.f662203bd653dp-4"),
-    "sl1": ("0x1.9bd37a6f4de9cp+2", "0x1.0975fb8c3e54ap+1",
-            "0x1.0975fb8c3e54ap-1", "0x1.0975fb8c3e54ap-3",
-            "0x1.c08e78356d142p+0", "0x1.0d2248200e3f4p-1",
+    "sl1": ("0x1.9bd37a6f4de9bp+2", "0x1.0975fb8c3e54ap+1",
+            "0x1.0975fb8c3e549p-1", "0x1.0975fb8c3e549p-3",
+            "0x1.c08e78356d140p+0", "0x1.0d2248200e3f3p-1",
             "0x1.39fd542565f46p-1"),
     "sl2": ("0x1.0000000000000p+0", "0x1.69d0369d0369dp-1",
-            "0x1.5206bb7024d9bp-2", "0x1.d0a2abcd97687p-4",
-            "0x1.31aed6a9264e1p-1", "0x1.1e3f18eb57a94p-2",
-            "0x1.8fd2145698db2p-2"),
+            "0x1.5206bb7024d9ap-2", "0x1.d0a2abcd9768cp-4",
+            "0x1.31aed6a9264e3p-1", "0x1.1e3f18eb57a97p-2",
+            "0x1.8fd2145698db3p-2"),
     "sl3": ("0x1.ba90c8e1d0736p-1", "0x1.632d43864ea7bp-1",
-            "0x1.44c0d542bb557p-2", "0x1.9b8b1317f1578p-4",
-            "0x1.e5c5254357073p-2", "0x1.f122ad00e8c5ep-3",
-            "0x1.12398c47a3463p-2"),
+            "0x1.44c0d542bb556p-2", "0x1.9b8b1317f157dp-4",
+            "0x1.e5c5254357077p-2", "0x1.f122ad00e8c64p-3",
+            "0x1.12398c47a3464p-2"),
 }
+
+# solves behind the values above, on either path
+SOLVES = 31
+DFA_PRODUCTS = 5
+
+
+def record(monkeypatch, name, log):
+    """Log every (product, result) of the solve ``name``, at each module
+    that binds it."""
+    solve = getattr(langprob, name)
+
+    def recorded(r):
+        out = solve(r)
+        log.append((r, out))
+        return out
+
+    for module in (langprob, labels):
+        monkeypatch.setattr(module, name, recorded)
 
 
 @pytest.mark.parametrize("limit, want", [(langprob.DENSE_SOLVE_LIMIT, DENSE),
@@ -102,15 +120,9 @@ SPARSE = {
                          ids=["dense", "sparse"])
 def test_values_bit_for_bit(monkeypatch, limit, want):
     monkeypatch.setattr(langprob, "DENSE_SOLVE_LIMIT", limit)
-    solves = []
-    solve_star = langprob._solve_star
-
-    def recorded(r):
-        value = solve_star(r)
-        solves.append((r, value))
-        return value
-
-    monkeypatch.setattr(langprob, "_solve_star", recorded)
+    stars, ys = [], []
+    record(monkeypatch, "_solve_star", stars)
+    record(monkeypatch, "_solve_y", ys)
     a, p = rules(), model()
     assert validate_pa(p) == []
     assert not is_unambiguous(a)
@@ -121,7 +133,12 @@ def test_values_bit_for_bit(monkeypatch, limit, want):
         for variant in (1, 2, 3):
             values = fn(a, p, variant).values
             assert tuple(x.hex() for x in values) == want[f"{kind}{variant}"]
-    assert len(solves) > 40, len(solves)
-    for r, value in solves:
+    # one per prob_lang and weight_lang, one per absorbing sl2 solve (each
+    # of them a y solve too), and one y per component DFA product
+    assert (len(stars), len(ys)) == (SOLVES, SOLVES + DFA_PRODUCTS)
+    for r, value in stars:
         assert value == pytest.approx(float(mp_solve_star(r)), rel=1e-12,
                                       abs=0.0)
+    for r, y in ys:
+        assert y.tolist() == pytest.approx(
+            [float(v) for v in mp_solve_y(r)], rel=1e-12, abs=0.0)

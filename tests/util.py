@@ -1,14 +1,17 @@
-"""Shared fixtures: hand automata, random instance generators, and naive
-brute-force oracles kept independent of the library's solver pipeline."""
+"""Shared fixtures: hand automata, random instance generators, naive
+brute-force oracles kept independent of the library's solver pipeline, and
+the per-state label pipelines the labelling engine is held to."""
 
 import itertools
 
 import mpmath
 from hypothesis import strategies as st
 
-from nfareduce import (CountTable, Nfa, Pa, Ppa, accepts, determinize,
-                       product, product_pa_nfa, product_with_pairs, trim,
-                       trim_survivors, validate_pa, word_prob)
+from nfareduce import (CountTable, Nfa, Pa, Ppa, accepts, banguage_nfa,
+                       components, determinize, prob_lang, product,
+                       product_pa_nfa, product_with_pairs, reach,
+                       restrict_with_map, through_state, trim,
+                       trim_survivors, validate_pa, weight_lang, word_prob)
 from nfareduce.nfa import _closure, _explore
 
 ABC = ("a", "b", "c")
@@ -131,32 +134,47 @@ def ppa_product(p, a, final_weights="model"):
     return Ppa(a.alphabet, initial, final, trans), kept_pairs
 
 
+def _mp_solve(n, rows, cols, weight, rhs):
+    """x solving (I - M) x = rhs in MP_DPS-digit arithmetic, where M sums
+    ``weight`` at (``rows``, ``cols``): sparse Gaussian elimination on the
+    diagonal, which an M-matrix admits.  Call inside ``mpmath.workdps``."""
+    mat = [{i: mpmath.mpf(1)} for i in range(n)]
+    for i, j, w in zip(rows, cols, weight):
+        mat[i][j] = mat[i].get(j, mpmath.mpf(0)) - w
+    x = [mpmath.mpf(v) for v in rhs]
+    for k in range(n):
+        pivot = mat[k]
+        for i in range(k + 1, n):
+            row = mat[i]
+            if k in row:
+                f = row.pop(k) / pivot[k]
+                for j, v in pivot.items():
+                    if j > k:
+                        row[j] = row.get(j, 0) - f * v
+                x[i] -= f * x[k]
+    for k in reversed(range(n)):
+        x[k] = (x[k] - mpmath.fsum(v * x[j] for j, v in mat[k].items()
+                                   if j > k)) / mat[k][k]
+    return x
+
+
 def mp_solve_star(r):
     """initial . (I - E)^-1 . final of the product ``r`` (a ``ProductPpa``)
     as an mpf, in MP_DPS-digit arithmetic: the reference the float solver
-    is held to.  (I - E) x = final is solved by sparse Gaussian elimination
-    on the diagonal, which an M-matrix admits."""
-    n = len(r.pair_map)
+    is held to."""
     with mpmath.workdps(MP_DPS):
-        rows = [{i: mpmath.mpf(1)} for i in range(n)]
-        for i, j, w in zip(r.src.tolist(), r.dst.tolist(),
-                           r.weight.tolist()):
-            rows[i][j] = rows[i].get(j, mpmath.mpf(0)) - w
-        x = [mpmath.mpf(v) for v in r.final.tolist()]
-        for k in range(n):
-            pivot = rows[k]
-            for i in range(k + 1, n):
-                row = rows[i]
-                if k in row:
-                    f = row.pop(k) / pivot[k]
-                    for j, v in pivot.items():
-                        if j > k:
-                            row[j] = row.get(j, 0) - f * v
-                    x[i] -= f * x[k]
-        for k in reversed(range(n)):
-            x[k] = (x[k] - mpmath.fsum(v * x[j] for j, v in rows[k].items()
-                                       if j > k)) / rows[k][k]
+        x = _mp_solve(len(r.pair_map), r.src.tolist(), r.dst.tolist(),
+                      r.weight.tolist(), r.final.tolist())
         return mpmath.fsum(w * x[i] for i, w in enumerate(r.initial.tolist()))
+
+
+def mp_solve_y(r):
+    """The row vector initial . (I - E)^-1 of the product ``r``, as a list
+    of mpfs in MP_DPS-digit arithmetic: the reference for each entry of the
+    float solver's y."""
+    with mpmath.workdps(MP_DPS):
+        return _mp_solve(len(r.pair_map), r.dst.tolist(), r.src.tolist(),
+                         r.weight.tolist(), r.initial.tolist())
 
 
 def mp_lang(p, a, final_weights="model"):
@@ -172,6 +190,66 @@ def mp_distance(p, a1, a2):
         d = (mp_lang(p, a1) + mp_lang(p, a2)
              - 2 * mp_lang(p, product(a1, a2)))
         return float(d)
+
+
+def prefix_universal(a, q):
+    """Acceptor of (back-language of q) . Sigma*: a fresh universal
+    accepting sink fed by q on every symbol.  q stays accepting so that the
+    empty continuation is covered; the original final states do not count."""
+    sink = a.num_states
+    transitions = list(a.transitions())
+    for sym in a.alphabet:
+        transitions.append((q, sym, sink))
+        transitions.append((sink, sym, sink))
+    return Nfa(a.num_states + 1, a.alphabet, transitions,
+               initial=a.initial, final=[q, sink])
+
+
+def oracle_prune_labels(sub, p, variant):
+    """Pruning labels of one (sub-)automaton, state by state: one
+    ``prob_lang`` per final state, per reachable final set or per state."""
+    n = sub.num_states
+    reach_final = [reach(sub, [q]) & sub.final for q in range(n)]
+    if variant == 1:
+        per_final = {f: prob_lang(p, banguage_nfa(sub, [f]))
+                     for f in sorted(sub.final)}
+        return [sum((per_final[f] for f in sorted(reach_final[q])), 0.0)
+                for q in range(n)]
+    if variant == 2:
+        return [prob_lang(p, banguage_nfa(sub, key)) if key else 0.0
+                for key in reach_final]
+    return [prob_lang(p, through_state(sub, q)) for q in range(n)]
+
+
+def oracle_selfloop_labels(sub, p, variant):
+    """Self-loop labels of one (sub-)automaton, state by state: one
+    ``weight_lang`` of the back-language, or one ``prob_lang`` of the
+    back-language followed by Sigma*, less the words through q."""
+    n = sub.num_states
+    if variant == 1:
+        return [weight_lang(p, banguage_nfa(sub, [q])) for q in range(n)]
+    lab2 = [prob_lang(p, prefix_universal(sub, q)) for q in range(n)]
+    if variant == 2:
+        return lab2
+    return [max(lab2[q] - prob_lang(p, through_state(sub, q)), 0.0)
+            for q in range(n)]
+
+
+def oracle_labels(a, p, kind, variant, by_component=True):
+    """The labelling ``label_prune`` / ``label_selfloop`` computes, by the
+    per-state oracles above."""
+    compute = (oracle_prune_labels if kind == "prune"
+               else oracle_selfloop_labels)
+    if by_component:
+        comps = components(a)
+    else:
+        comps = [frozenset(range(a.num_states))] if a.num_states else []
+    values = [0.0] * a.num_states
+    for comp in comps:
+        sub, origins = restrict_with_map(a, comp)
+        for orig_q, value in zip(origins, compute(sub, p, variant)):
+            values[orig_q] = value
+    return values
 
 
 def per_word_count_events(skeleton, corpus):
@@ -224,6 +302,21 @@ def nfas(draw, min_states=0, max_states=6):
     transitions = draw(st.lists(st.tuples(states, st.sampled_from(BA),
                                           states), max_size=4 * max_states))
     return Nfa(n, BA, transitions, draw(st.frozensets(states)),
+               draw(st.frozensets(states)))
+
+
+@st.composite
+def dfas(draw, max_states=6):
+    """A random deterministic automaton over BA: at most one initial state
+    and at most one successor per state and symbol; possibly partial."""
+    n = draw(st.integers(0, max_states))
+    if n == 0:
+        return Nfa(0, BA)
+    states = st.integers(0, n - 1)
+    moves = draw(st.dictionaries(st.tuples(states, st.sampled_from(BA)),
+                                 states))
+    return Nfa(n, BA, [(q, sym, d) for (q, sym), d in moves.items()],
+               draw(st.frozensets(states, max_size=1)),
                draw(st.frozensets(states)))
 
 
