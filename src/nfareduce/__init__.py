@@ -2,17 +2,14 @@
 probabilistic model of the input words."""
 
 from .errors import (AlphabetMismatchError, CapExceededError,
-                     DeterminizationCapError, EnumerationCapError,
-                     FormatError)
-from .nfa import (DEFAULT_DET_CAP, Nfa, accepts, banguage_nfa, components,
-                  coreach, determinize, determinize_with_subsets,
-                  is_unambiguous, product, product_with_pairs, reach,
-                  restrict, restrict_with_map, self_loop, through_state,
-                  trim, trim_survivors, union)
+                     DeterminizationCapError, FormatError)
+from .nfa import (DEFAULT_DET_CAP, Nfa, accepts, components, coreach,
+                  determinize, determinize_with_subsets, is_unambiguous,
+                  reach, restrict, restrict_with_map, self_loop,
+                  through_state, trim, trim_survivors, union)
 from .pa import (Pa, Ppa, make_p_exp, support, validate_pa, word_prob,
                  word_weight)
-from .langprob import (ProductPpa, bf_prob_lang, prob_lang, product_pa_nfa,
-                       weight_lang)
+from .langprob import ProductPpa, prob_lang, product_pa_nfa, weight_lang
 from .labels import StateLabelling, label_prune, label_selfloop
 from .reduction import (ReductionConfig, ReductionReport, default_order,
                         distance, err_prune, err_selfloop,
@@ -20,8 +17,7 @@ from .reduction import (ReductionConfig, ReductionReport, default_order,
                         minimize_prune_set, minimize_selfloop_set,
                         prune_survivors, reduce_prune, reduce_selfloop,
                         selfloop_survivors)
-from .traffic import (CountTable, complete_dfa, count_events, learn_pa,
-                      traffic_error)
+from .traffic import complete_dfa, count_events, learn_pa, traffic_error
 from .formats import (parse_nfa, parse_pa, read_corpus_bin, read_corpus_text,
                       serialize_nfa, serialize_pa)
 
@@ -29,20 +25,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetMismatchError", "CapExceededError", "DeterminizationCapError",
-    "EnumerationCapError", "FormatError",
-    "DEFAULT_DET_CAP", "Nfa", "accepts", "banguage_nfa", "components",
-    "coreach", "determinize", "determinize_with_subsets", "is_unambiguous",
-    "product", "product_with_pairs", "reach", "restrict", "restrict_with_map",
-    "self_loop", "through_state", "trim", "trim_survivors", "union",
+    "FormatError",
+    "DEFAULT_DET_CAP", "Nfa", "accepts", "components", "coreach",
+    "determinize", "determinize_with_subsets", "is_unambiguous", "reach",
+    "restrict", "restrict_with_map", "self_loop", "through_state", "trim",
+    "trim_survivors", "union",
     "Pa", "Ppa", "make_p_exp", "support", "validate_pa", "word_prob",
     "word_weight",
-    "ProductPpa", "bf_prob_lang", "prob_lang", "product_pa_nfa", "weight_lang",
+    "ProductPpa", "prob_lang", "product_pa_nfa", "weight_lang",
     "StateLabelling", "label_prune", "label_selfloop",
     "ReductionConfig", "ReductionReport", "default_order", "distance",
     "err_prune", "err_selfloop", "greedy_error_driven", "greedy_size_driven",
     "minimize_prune_set", "minimize_selfloop_set", "prune_survivors",
     "reduce_prune", "reduce_selfloop", "selfloop_survivors",
-    "CountTable", "complete_dfa", "count_events", "learn_pa", "traffic_error",
+    "complete_dfa", "count_events", "learn_pa", "traffic_error",
     "parse_nfa", "parse_pa", "read_corpus_bin", "read_corpus_text",
     "serialize_nfa", "serialize_pa",
 ]

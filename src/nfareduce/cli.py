@@ -41,8 +41,8 @@ def _load_nfa(path):
     return parse_nfa(_read(path), name=path)
 
 
-def _load_pa(path, as_ppa=False):
-    return parse_pa(_read(path), as_ppa=as_ppa, name=path)
+def _load_pa(path):
+    return parse_pa(_read(path), name=path)
 
 
 def _load_corpus(path, fmt):

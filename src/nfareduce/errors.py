@@ -19,7 +19,3 @@ class DeterminizationCapError(CapExceededError):
     def __init__(self, cap):
         super().__init__(f"subset construction exceeded the cap of {cap} states")
         self.cap = cap
-
-
-class EnumerationCapError(CapExceededError):
-    """Word enumeration would exceed the feasibility guard."""

@@ -8,7 +8,9 @@ FA format (UTF-8, line oriented)::
     %Final q2
     q0 a q1                   # transition: SRC SYMBOL DST
 
-PA format uses the same skeleton with weights appended::
+PA format uses the same skeleton with weights appended, one state per
+%Initial or %Final line; a state may appear once under each directive and
+a (SRC, SYMBOL, DST) transition once::
 
     %Initial q0 1.0
     %Final q1 0.25
@@ -30,7 +32,7 @@ import struct
 
 from .errors import FormatError
 from .nfa import Nfa
-from .pa import Pa, Ppa, validate_pa
+from .pa import Pa, validate_pa
 
 BYTE_ALPHABET = tuple(range(256))
 
@@ -81,13 +83,26 @@ class _StateNames:
         return len(self.index)
 
 
-def parse_nfa(text, name=None):
-    """Parse the FA text format into an Nfa."""
+def _read_fa(text, weighted):
+    """The one pass over the FA text format that ``parse_nfa`` and
+    ``parse_pa`` share: the %Alphabet line, unknown directives, the byte
+    alphabet when none is declared, and the check of each transition's
+    symbol, which waits for the whole text since %Alphabet may come last.
+
+    Weighted (the PA format), a %Initial or %Final line names one state
+    and its weight, a transition ends in its weight, and a state given
+    twice under one directive, or a transition given twice, is an error.
+    Returns the alphabet, the number of states, the %Initial and the
+    %Final entries (states, or (state, weight) pairs when weighted) and
+    the transitions, as (src, symbol, dst[, weight]) tuples.
+    """
     alphabet = None
     names = _StateNames()
-    initial = []
-    final = []
+    marked = {"%Initial": [], "%Final": []}
+    first_line = {}
     raw_transitions = []
+    shape = "SRC SYMBOL DST PROB" if weighted else "SRC SYMBOL DST"
+    width = len(shape.split())
     for lineno, tokens in _logical_lines(text):
         head = tokens[0]
         if head == "%Alphabet":
@@ -96,28 +111,49 @@ def parse_nfa(text, name=None):
             alphabet = tuple(parse_symbol(t) for t in tokens[1:])
             if not alphabet:
                 raise FormatError(f"line {lineno}: empty alphabet")
-        elif head == "%Initial":
-            initial.extend(names.get(t) for t in tokens[1:])
-        elif head == "%Final":
-            final.extend(names.get(t) for t in tokens[1:])
+        elif head in marked and not weighted:
+            marked[head].extend(names.get(t) for t in tokens[1:])
+        elif head in marked:
+            if len(tokens) != 3:
+                raise FormatError(
+                    f"line {lineno}: expected '{head} STATE WEIGHT'")
+            q = names.get(tokens[1])
+            _once(first_line, (head, q), lineno, tokens[:2])
+            marked[head].append((q, _parse_weight(tokens[2], lineno)))
         elif head.startswith("%"):
             raise FormatError(f"line {lineno}: unknown directive {head!r}")
         else:
-            if len(tokens) != 3:
-                raise FormatError(
-                    f"line {lineno}: expected 'SRC SYMBOL DST'")
-            src, sym, dst = tokens
-            raw_transitions.append((lineno, names.get(src),
-                                    parse_symbol(sym), names.get(dst)))
+            if len(tokens) != width:
+                raise FormatError(f"line {lineno}: expected '{shape}'")
+            entry = (names.get(tokens[0]), parse_symbol(tokens[1]),
+                     names.get(tokens[2]))
+            if weighted:
+                _once(first_line, entry, lineno, tokens[:3])
+                entry += (_parse_weight(tokens[3], lineno),)
+            raw_transitions.append((lineno, entry))
     if alphabet is None:
         alphabet = BYTE_ALPHABET
     symbols = set(alphabet)
-    transitions = []
-    for lineno, src, sym, dst in raw_transitions:
+    for lineno, (_src, sym, *_rest) in raw_transitions:
         if sym not in symbols:
             raise FormatError(f"line {lineno}: symbol {sym!r} not in alphabet")
-        transitions.append((src, sym, dst))
-    return Nfa(len(names), alphabet, transitions, initial, final, name=name)
+    return (alphabet, len(names), marked["%Initial"], marked["%Final"],
+            [entry for _lineno, entry in raw_transitions])
+
+
+def _once(first_line, key, lineno, tokens):
+    """Record that ``key``, written as ``tokens``, is given on ``lineno``;
+    it must be the first time."""
+    if key in first_line:
+        raise FormatError(f"line {lineno}: {' '.join(tokens)!r} given twice "
+                          f"(first on line {first_line[key]})")
+    first_line[key] = lineno
+
+
+def parse_nfa(text, name=None):
+    """Parse the FA text format into an Nfa."""
+    alphabet, n, initial, final, transitions = _read_fa(text, weighted=False)
+    return Nfa(n, alphabet, transitions, initial, final, name=name)
 
 
 def serialize_nfa(a):
@@ -136,68 +172,22 @@ def serialize_nfa(a):
     return "\n".join(lines) + "\n"
 
 
-def _parse_weight(token, lineno, limit=None):
+def _parse_weight(token, lineno):
     try:
         w = float(token)
     except ValueError:
         raise FormatError(f"line {lineno}: bad weight {token!r}") from None
-    if w < 0.0 or (limit is not None and w > limit):
-        hi = "" if limit is None else f", {limit:g}"
-        raise FormatError(f"line {lineno}: weight {token!r} outside [0{hi}]")
+    if not 0.0 <= w <= 1.0:  # NaN fails this too
+        raise FormatError(f"line {lineno}: weight {token!r} outside [0, 1]")
     return w
 
 
-def parse_pa(text, as_ppa=False, name=None):
-    """Parse the PA text format.
-
-    Returns a validated Pa, or an unvalidated Ppa when ``as_ppa`` is set
-    (weights then only need to be nonnegative).
-    """
-    limit = None if as_ppa else 1.0
-    alphabet = None
-    names = _StateNames()
-    initial = {}
-    final = {}
-    raw_transitions = []
-    for lineno, tokens in _logical_lines(text):
-        head = tokens[0]
-        if head == "%Alphabet":
-            if alphabet is not None:
-                raise FormatError(f"line {lineno}: duplicate %Alphabet")
-            alphabet = tuple(parse_symbol(t) for t in tokens[1:])
-            if not alphabet:
-                raise FormatError(f"line {lineno}: empty alphabet")
-        elif head in ("%Initial", "%Final"):
-            if len(tokens) != 3:
-                raise FormatError(
-                    f"line {lineno}: expected '{head} STATE WEIGHT'")
-            q = names.get(tokens[1])
-            w = _parse_weight(tokens[2], lineno, limit)
-            (initial if head == "%Initial" else final)[q] = w
-        elif head.startswith("%"):
-            raise FormatError(f"line {lineno}: unknown directive {head!r}")
-        else:
-            if len(tokens) != 4:
-                raise FormatError(
-                    f"line {lineno}: expected 'SRC SYMBOL DST PROB'")
-            src, sym, dst, w = tokens
-            raw_transitions.append(
-                (lineno, names.get(src), parse_symbol(sym), names.get(dst),
-                 _parse_weight(w, lineno, limit)))
-    if alphabet is None:
-        alphabet = BYTE_ALPHABET
-    symbols = set(alphabet)
-    n = len(names)
-    transitions = []
-    for lineno, src, sym, dst, w in raw_transitions:
-        if sym not in symbols:
-            raise FormatError(f"line {lineno}: symbol {sym!r} not in alphabet")
-        transitions.append((src, sym, dst, w))
-    init_vec = [initial.get(q, 0.0) for q in range(n)]
-    fin_vec = [final.get(q, 0.0) for q in range(n)]
-    if as_ppa:
-        return Ppa(alphabet, init_vec, fin_vec, transitions, name=name)
-    pa = Pa(alphabet, init_vec, fin_vec, transitions, name=name)
+def parse_pa(text, name=None):
+    """Parse the PA text format into a validated Pa."""
+    alphabet, n, initial, final, transitions = _read_fa(text, weighted=True)
+    initial, final = dict(initial), dict(final)
+    pa = Pa(alphabet, [initial.get(q, 0.0) for q in range(n)],
+            [final.get(q, 0.0) for q in range(n)], transitions, name=name)
     diags = validate_pa(pa)
     if diags:
         raise FormatError("not a valid PA: " + "; ".join(diags))

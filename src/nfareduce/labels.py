@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .langprob import (ProductPpa, _as_prob, _continuation_mass,
-                       _solve_star, _solve_y, prob_lang, product_pa_nfa)
+from .langprob import (_as_prob, _continuation_mass, _solve, _solve_y,
+                       prob_lang, product_pa_nfa)
 from .nfa import (DEFAULT_DET_CAP, Nfa, _closure, components, coreach,
                   determinize_with_subsets, reach, restrict_with_map,
                   through_state)
@@ -154,13 +154,12 @@ class _Engine:
         final = np.where(stop, z[keys % num_pa], 0.0)
         e = pos[src] >= 0
         src, dst, sym, weight = pos[src[e]], pos[dst[e]], sym[e], weight[e]
+        # y = initial . (I - E)^-1 from the transposed system, with the
+        # entries in the order of a product's: by source, symbol, target
         perm = np.lexsort((dst, sym, src))
-        lumped = ProductPpa(
-            r.alphabet, tuple(zip((keys[kept] % num_pa).tolist(),
-                                  (keys[kept] // num_pa).tolist())),
-            initial[kept], final[kept], src[perm], sym[perm], dst[perm],
-            weight[perm])
-        return _as_prob(_solve_star(lumped))
+        y = _solve(len(kept), dst[perm], src[perm], weight[perm],
+                   initial[kept])
+        return _as_prob(float(y @ final[kept]))
 
 
 def _through(sub, p, det_cap):
@@ -215,18 +214,13 @@ def _selfloop_labels(sub, p, variant, det_cap, z):
     return values
 
 
-def _label(a, p, variant, kind, by_component, det_cap):
+def _label(a, p, variant, kind, det_cap):
     if variant not in (1, 2, 3):
         raise ValueError(f"label variant must be 1, 2 or 3, got {variant!r}")
     z = (_continuation_mass(p) if kind == "selfloop" and variant > 1
          else None)
-    if by_component:
-        comps = components(a)
-    else:
-        comps = [frozenset(range(a.num_states))] if a.num_states else []
-
     values = [0.0] * a.num_states
-    for comp in comps:
+    for comp in components(a):
         sub, origins = restrict_with_map(a, comp)
         local = (_prune_labels(sub, p, variant, det_cap) if kind == "prune"
                  else _selfloop_labels(sub, p, variant, det_cap, z))
@@ -236,7 +230,7 @@ def _label(a, p, variant, kind, by_component, det_cap):
     return StateLabelling(f"{prefix}{variant}", tuple(values))
 
 
-def label_prune(a, p, variant, by_component=True, det_cap=DEFAULT_DET_CAP):
+def label_prune(a, p, variant, det_cap=DEFAULT_DET_CAP):
     """Pruning labels.
 
     Variant 1 sums the back-language probabilities of the final states
@@ -245,11 +239,10 @@ def label_prune(a, p, variant, by_component=True, det_cap=DEFAULT_DET_CAP):
     probability of the words whose accepting runs pass through q.
     Variants 1 and 2 determinize each component once, under ``det_cap``.
     """
-    return _label(a, p, variant, "prune", by_component, det_cap)
+    return _label(a, p, variant, "prune", det_cap)
 
 
-def label_selfloop(a, p, variant, by_component=True,
-                   det_cap=DEFAULT_DET_CAP):
+def label_selfloop(a, p, variant, det_cap=DEFAULT_DET_CAP):
     """Self-loop labels.
 
     Variant 1 is the leftover weight of q's back-language; variant 2 the
@@ -258,4 +251,4 @@ def label_selfloop(a, p, variant, by_component=True,
     negative round-off is clamped to zero).  Every variant determinizes
     each component once, under ``det_cap``.
     """
-    return _label(a, p, variant, "selfloop", by_component, det_cap)
+    return _label(a, p, variant, "selfloop", det_cap)

@@ -26,13 +26,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AlphabetMismatchError, EnumerationCapError
+from .errors import AlphabetMismatchError
 from .nfa import (DEFAULT_DET_CAP, _closure, _explore, determinize,
                   is_unambiguous)
 from .pa import Ppa
 
 DENSE_SOLVE_LIMIT = 2000
-ENUM_GUARD = 10 ** 7
 CLAMP_TOL = 1e-9
 
 
@@ -224,65 +223,3 @@ def weight_lang(p, a, det_cap=DEFAULT_DET_CAP):
         raise RuntimeError(f"language weight {val!r} negative beyond "
                            "tolerance (internal error)")
     return max(val, 0.0)
-
-
-def bf_prob_lang(p, a, max_len):
-    """Truncated brute-force oracle for prob_lang.
-
-    Returns (lower, tail): ``lower`` is the exact probability mass of the
-    accepted words of length <= max_len, ``tail`` the mass of all words
-    longer than max_len.  The true language probability lies in
-    [lower, lower + tail].
-
-    The sum is organised as a breadth-first sweep over words grouped by the
-    NFA subset they reach, which gives exactly the same totals as per-word
-    enumeration; the feasibility guard is still expressed in enumerated
-    words.
-    """
-    _check_alphabets(p, a)
-    k = len(a.alphabet)
-    count = 0
-    for i in range(max_len + 1):
-        count += k ** i
-        if count > ENUM_GUARD:
-            raise EnumerationCapError(
-                f"enumerating words up to length {max_len} over "
-                f"{k} symbols exceeds the guard of {ENUM_GUARD}")
-
-    n = p.num_states
-    mats = {}
-    for sym in p.alphabet:
-        m = np.zeros((n, n))
-        for src in range(n):
-            for dst, w in p.row(sym, src).items():
-                m[src, dst] = w
-        mats[sym] = m
-    phi = np.array(p.final)
-    alpha = np.array(p.initial)
-
-    start = frozenset(a.initial)
-    level = {start: alpha}
-    eps_mass = float(alpha @ phi)
-    covered = eps_mass
-    lower = eps_mass if (start & a.final) else 0.0
-    for _ in range(max_len):
-        nxt = {}
-        for subset in sorted(level, key=sorted):
-            vec = level[subset]
-            for sym in a.alphabet:
-                target = set()
-                for q in subset:
-                    target.update(a.succ(q, sym))
-                target = frozenset(target)
-                moved = vec @ mats[sym]
-                if target in nxt:
-                    nxt[target] = nxt[target] + moved
-                else:
-                    nxt[target] = moved
-        level = nxt
-        for subset in sorted(level, key=sorted):
-            mass = float(level[subset] @ phi)
-            covered += mass
-            if subset & a.final:
-                lower += mass
-    return lower, max(0.0, 1.0 - covered)

@@ -11,9 +11,9 @@ mutate their inputs, which makes them safe to share across threads.
 Every construction that builds a new automaton is one breadth-first
 worklist (``_explore``) over the per-state transition store, and every
 reachability question is one closure (``_closure``).  The outputs of the
-subset construction, the product, ``through_state`` and ``banguage_nfa``
-are valid by construction, so they fill the store directly (``_built``)
-instead of re-validating every transition in ``Nfa.__init__``.
+subset construction and of ``through_state`` are valid by construction, so
+they fill the store directly (``_built``) instead of re-validating every
+transition in ``Nfa.__init__``.
 """
 
 from .errors import AlphabetMismatchError, DeterminizationCapError
@@ -318,34 +318,6 @@ def _symmetric_difference(a1, a2, cap=DEFAULT_DET_CAP):
     return Nfa._built(dfa.num_states, dfa, dfa._delta, dfa.initial, final)
 
 
-def product_with_pairs(a1, a2):
-    """Standard product automaton restricted to pairs reachable from the
-    initial pairs; returns (automaton, pair-of-origin per product state)."""
-    same_alphabet(a1, a2)
-
-    def step(pair):
-        q1, q2 = pair
-        for sym, dsts1 in a1.moves(q1):
-            dsts2 = a2.succ(q2, sym)
-            for d1 in dsts1:
-                for d2 in dsts2:
-                    yield sym, (d1, d2)
-
-    starts = [(q1, q2) for q1 in sorted(a1.initial)
-              for q2 in sorted(a2.initial)]
-    pairs, edges = _explore(starts, step)
-    final = [i for i, (q1, q2) in enumerate(pairs)
-             if q1 in a1.final and q2 in a2.final]
-    return (Nfa._built(len(pairs), a1, _store(edges), range(len(starts)),
-                       final),
-            tuple(pairs))
-
-
-def product(a1, a2):
-    """Product automaton; accepts the intersection of the two languages."""
-    return product_with_pairs(a1, a2)[0]
-
-
 def is_unambiguous(a):
     """True iff every accepted word has exactly one accepting run.
 
@@ -464,14 +436,6 @@ def through_state(a, q):
              if flag and s in a.final]
     return Nfa._built(len(nodes), a, _store(edges), range(len(starts)),
                       final)
-
-
-def banguage_nfa(a, targets):
-    """Copy of ``a`` whose final set is replaced by ``targets``; accepts the
-    back-language of the target set.  The copy shares the store of ``a``."""
-    _check_states(a, targets)
-    return Nfa._built(a.num_states, a, a._delta, a.initial, targets,
-                      name=a.name)
 
 
 def accepts(a, word):

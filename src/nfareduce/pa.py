@@ -122,13 +122,17 @@ def support(p):
                name=p.name)
 
 
-def validate_pa(p, tol=STOCHASTIC_TOL):
+def validate_pa(p):
     """Diagnostics for the PA conditions; an empty list means valid.
 
     Checks that the initial weights sum to 1, that accepting or leaving
     each state has total probability 1, that all entries lie in [0, 1],
-    and that the support is trim.
+    that the support is trim and, when all that holds, that the words have
+    total probability 1.  The last is not implied by the others within
+    their tolerance: a state that loops with mass 1 - 1e-12 and accepts
+    with mass 1e-9 passes the per-state check, but its words sum to 1000.
     """
+    tol = STOCHASTIC_TOL
     diags = []
     total = sum(p.initial)
     if abs(total - 1.0) > tol:
@@ -150,7 +154,28 @@ def validate_pa(p, tol=STOCHASTIC_TOL):
                 f"state {i}: accept-or-leave mass is {out!r}, expected 1")
     if len(trim_survivors(support(p))) != p.num_states:
         diags.append("support is not trim")
+    if not diags:
+        diags = _total_mass_diags(p)
     return diags
+
+
+def _total_mass_diags(p):
+    """Diagnostics for the total probability of the words, initial . z
+    with z = (I - T)^-1 . final the continuation mass of each state."""
+    # langprob builds on this module, so its solver is imported on use
+    from .langprob import _continuation_mass
+    try:
+        z = _continuation_mass(p)
+    except RuntimeError:
+        return ["transition matrix has spectral radius >= 1 "
+                "(singular I - T)"]
+    if not (z > 0.0).all():
+        return ["transition matrix has spectral radius >= 1 "
+                "(a state's continuation mass is not positive)"]
+    mass = float(sum(x * w for x, w in zip(p.initial, z.tolist())))
+    if not abs(mass - 1.0) <= STOCHASTIC_TOL:
+        return [f"words have total probability {mass!r}, expected 1"]
+    return []
 
 
 def _propagate(p, word):

@@ -19,7 +19,6 @@ only when a run first reaches them.  Only the subsets the corpus leads to
 are built, under the usual determinization cap.
 """
 
-from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -27,25 +26,6 @@ import numpy as np
 from .errors import DeterminizationCapError
 from .nfa import DEFAULT_DET_CAP, Nfa, _subset_step
 from .pa import Pa
-
-
-@dataclass
-class CountTable:
-    """Event counts gathered while running a corpus through a skeleton."""
-
-    visit: dict = field(default_factory=dict)
-    trans_count: dict = field(default_factory=dict)  # (state, symbol) -> count
-    end_count: dict = field(default_factory=dict)
-
-    def merge(self, other):
-        """Fold another table in; counting commutes, so corpora may be
-        sharded and merged in any order."""
-        for q, c in other.visit.items():
-            self.visit[q] = self.visit.get(q, 0) + c
-        for k, c in other.trans_count.items():
-            self.trans_count[k] = self.trans_count.get(k, 0) + c
-        for q, c in other.end_count.items():
-            self.end_count[q] = self.end_count.get(q, 0) + c
 
 
 def _check_skeleton(skeleton, complete=True):
@@ -64,13 +44,15 @@ def _check_skeleton(skeleton, complete=True):
 
 
 def count_events(skeleton, corpus):
-    """Run every corpus word through the skeleton, counting state visits,
-    transition uses and word endings.
+    """Run every corpus word through the skeleton, counting transition uses
+    and word endings.
 
-    The skeleton is a complete DFA, so its transition table is dense and
-    every word is stepped to its end.  Each visit to a state is followed by
-    exactly one event, a transition out of it or the end of the word, so a
-    state's visits are its outgoing transitions plus its word endings."""
+    Returns ``(trans, ends)``: ``trans[q, j]`` counts the uses of the
+    transition out of state ``q`` on the ``j``-th alphabet symbol, and
+    ``ends[q]`` the words that end in ``q``.  Each visit to a state is
+    followed by exactly one of these events, so a state's visits are
+    ``trans[q].sum() + ends[q]``.  The skeleton is a complete DFA, so its
+    transition table is dense and every word is stepped to its end."""
     _check_skeleton(skeleton)
     words = list(corpus)
     if not words:
@@ -89,23 +71,7 @@ def count_events(skeleton, corpus):
         src = states[:live]
         np.add.at(trans, src * k + syms, 1)
         states[:live] = table[src, syms]
-
-    trans = trans.reshape(n, k)
-    ends = np.bincount(states, minlength=n)
-    visits = trans.sum(axis=1) + ends
-    alphabet = skeleton.alphabet
-    return CountTable(
-        visit=_nonzero(visits),
-        trans_count={(q, alphabet[j]): c
-                     for (q, j), c in zip(np.argwhere(trans).tolist(),
-                                          trans[trans > 0].tolist())},
-        end_count=_nonzero(ends))
-
-
-def _nonzero(counts):
-    """index -> count for the non-zero entries, as Python ints."""
-    (where,) = np.nonzero(counts)
-    return dict(zip(where.tolist(), counts[where].tolist()))
+    return trans.reshape(n, k), np.bincount(states, minlength=n)
 
 
 def learn_pa(skeleton, corpus, name=None):
@@ -115,31 +81,24 @@ def learn_pa(skeleton, corpus, name=None):
     length k contributes k transition events and one end event.  States the
     corpus never visits are dropped.  The result always satisfies the PA
     stochasticity conditions because every state keeps its own denominator.
+    The counts are exact int64s, so each quotient is the correctly rounded
+    one.
     """
-    table = count_events(skeleton, corpus)
-    n = skeleton.num_states
-    totals = [0] * n
-    for (q, _sym), c in table.trans_count.items():
-        totals[q] += c
-    for q, c in table.end_count.items():
-        totals[q] += c
-
+    trans, ends = count_events(skeleton, corpus)
+    totals = trans.sum(axis=1) + ends
+    visited = totals > 0
+    final = np.zeros(len(totals))
+    final[visited] = ends[visited] / totals[visited]
     (init,) = skeleton.initial
-    initial = [0.0] * n
+    initial = [0.0] * len(totals)
     initial[init] = 1.0
-    final = [0.0] * n
-    transitions = []
-    for q in range(n):
-        if totals[q] == 0:
-            continue
-        t = totals[q]
-        final[q] = table.end_count.get(q, 0) / t
-        for sym in skeleton.alphabet:
-            c = table.trans_count.get((q, sym), 0)
-            if c:
-                transitions.append((q, sym, skeleton.succ(q, sym)[0], c / t))
-    pa = Pa(skeleton.alphabet, initial, final, transitions, name=name)
-    if pa.num_states != sum(1 for t in totals if t):
+    qs, js = np.nonzero(trans)
+    alphabet = skeleton.alphabet
+    transitions = [(q, alphabet[j], skeleton.succ(q, alphabet[j])[0], w)
+                   for q, j, w in zip(qs.tolist(), js.tolist(),
+                                      (trans[qs, js] / totals[qs]).tolist())]
+    pa = Pa(alphabet, initial, final.tolist(), transitions, name=name)
+    if pa.num_states != np.count_nonzero(visited):
         raise RuntimeError("learned model kept a state without events "
                            "(internal error)")
     return pa

@@ -341,3 +341,32 @@ class TestExitCodes:
         bad = tmp_path / "bad.pa"
         bad.write_text("%Alphabet a b\n%Initial q0 0.5\n%Final q0 1.0\n")
         assert main(["distance", fa, fa, "--model", str(bad)]) == 2
+
+    @pytest.mark.parametrize("model, problem", [
+        ("%Final 0 1.0005e-9\n0 a 0 0.999999999999\n",
+         "words have total probability"),
+        ("%Final 0 1e-10\n0 a 0 1.0\n", "spectral radius >= 1"),
+        ("%Final 0 0.5\n0 a 0 0.25\n0 a 0 0.5\n", "line 5: '0 a 0' given "
+                                                 "twice"),
+    ], ids=["mass-1000", "singular", "repeated"])
+    @pytest.mark.parametrize("command", [
+        ["label", "--type", "prune", "--label", "1"],
+        ["label", "--type", "selfloop", "--label", "2"],
+        ["distance"],
+    ], ids=["prune-1", "selfloop-2", "distance"])
+    def test_model_passing_state_checks_exit_2(self, tmp_path, capsys,
+                                               model, problem, command):
+        # every state accepts or leaves with mass 1 to within 1e-9 (with
+        # the repeated line, once its last weight is kept), yet the words
+        # of a* would weigh far more than 1 or need a singular solve
+        fa = tmp_path / "a-star.fa"
+        fa.write_text("%Alphabet a b\n%Initial 0\n%Final 0\n0 a 0\n")
+        empty = tmp_path / "empty.fa"
+        empty.write_text("%Alphabet a b\n%Initial 0\n")
+        pa = tmp_path / "bad.pa"
+        pa.write_text("%Alphabet a b\n%Initial 0 1\n" + model)
+        argv = ([*command, "--input", str(fa)] if command[0] == "label"
+                else [*command, str(fa), str(empty)])
+        assert main([*argv, "--model", str(pa)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and problem in err

@@ -1,10 +1,11 @@
 """FA/PA text formats and corpus readers."""
 
 import random
+import re
 
 import pytest
 
-from nfareduce import (Pa, Ppa, parse_nfa, parse_pa, read_corpus_bin,
+from nfareduce import (Pa, parse_nfa, parse_pa, read_corpus_bin,
                        read_corpus_text, serialize_nfa, serialize_pa,
                        validate_pa)
 from nfareduce.errors import FormatError
@@ -70,6 +71,11 @@ class TestNfaFormat:
         with pytest.raises(FormatError):
             parse_nfa("%Alphabet a\nq a\n")
 
+    def test_repeated_transition_allowed(self):
+        a = parse_nfa("%Alphabet a\n%Initial q\n%Final q q\nq a q\nq a q\n")
+        assert list(a.transitions()) == [(0, "a", 0)]
+        assert a.final == {0}
+
     def test_round_trip_modulo_renaming(self):
         rng = random.Random(71)
         for _ in range(25):
@@ -110,15 +116,44 @@ class TestPaFormat:
         with pytest.raises(FormatError):
             parse_pa(bad)
 
-    def test_as_ppa_accepts_invalid(self):
-        text = "%Alphabet a\n%Initial q0 0.5\n%Final q0 1.0\n"
-        p = parse_pa(text, as_ppa=True)
-        assert isinstance(p, Ppa) and not isinstance(p, Pa)
-        assert p.initial == (0.5,)
-
     def test_weight_out_of_range(self):
         with pytest.raises(FormatError):
             parse_pa("%Alphabet a\n%Initial q0 1.5\n%Final q0 1.0\n")
+
+    def test_nan_weight_rejected(self):
+        # a NaN is neither below 0 nor above 1, and a NaN transition is
+        # left out of the support, so no mass check would see it
+        text = "%Alphabet a\n%Initial 0 1\n%Final 0 0.5\n0 a 0 nan\n"
+        with pytest.raises(FormatError,
+                           match=re.escape("line 4: weight 'nan' outside")):
+            parse_pa(text)
+
+    @pytest.mark.parametrize("body, where", [
+        ("%Final 0 0.5\n0 a 0 0.25\n0 a 0 0.5\n",
+         "line 5: '0 a 0' given twice (first on line 4)"),
+        ("%Final 0 0.25\n%Final 0 0.5\n0 a 0 0.5\n",
+         "line 4: '%Final 0' given twice (first on line 3)"),
+        ("%Initial 0 1\n%Final 0 0.5\n0 a 0 0.5\n",
+         "line 3: '%Initial 0' given twice (first on line 2)"),
+    ], ids=["transition", "final", "initial"])
+    def test_repeated_entry_rejected(self, body, where):
+        # with the last weight kept, each of these is a valid PA, though
+        # the first two give state 0 an accept-or-leave mass of 1.25
+        text = "%Alphabet a b\n%Initial 0 1\n" + body
+        with pytest.raises(FormatError, match=re.escape(where)):
+            parse_pa(text)
+
+    @pytest.mark.parametrize("final, loop, problem", [
+        ("1.0005e-9", "0.999999999999", "total probability 1000.5"),
+        ("1e-10", "1.0", "spectral radius >= 1"),
+    ], ids=["mass-1000", "singular"])
+    def test_total_mass_checked(self, final, loop, problem):
+        # each state accepts or leaves with mass 1 to within 1e-9, but the
+        # loop keeps (nearly) all of it, so the words do not sum to 1
+        text = (f"%Alphabet a b\n%Initial 0 1\n%Final 0 {final}\n"
+                f"0 a 0 {loop}\n")
+        with pytest.raises(FormatError, match=re.escape(problem)):
+            parse_pa(text)
 
     def test_seventeen_digits_survive(self):
         p = Pa(AB, [1.0], [1 / 3],

@@ -26,24 +26,24 @@ pas = st.integers(0, 2 ** 32 - 1).map(
 
 
 @SETTINGS
-@given(nfas(), pas, st.booleans())
-def test_prune_labels_match_oracle(a, p, by_component):
+@given(nfas(), pas)
+def test_prune_labels_match_oracle(a, p):
     for variant in (1, 2, 3):
-        got = label_prune(a, p, variant, by_component=by_component).values
-        want = oracle_labels(a, p, "prune", variant, by_component)
+        got = label_prune(a, p, variant).values
+        want = oracle_labels(a, p, "prune", variant)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @SETTINGS
-@given(nfas(), pas, st.booleans())
-def test_selfloop_labels_match_oracle(a, p, by_component):
+@given(nfas(), pas)
+def test_selfloop_labels_match_oracle(a, p):
     for variant in (1, 2):
-        got = label_selfloop(a, p, variant, by_component=by_component).values
-        want = oracle_labels(a, p, "selfloop", variant, by_component)
+        got = label_selfloop(a, p, variant).values
+        want = oracle_labels(a, p, "selfloop", variant)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     sl2 = want
-    got = label_selfloop(a, p, 3, by_component=by_component).values
-    want = oracle_labels(a, p, "selfloop", 3, by_component)
+    got = label_selfloop(a, p, 3).values
+    want = oracle_labels(a, p, "selfloop", 3)
     for q, (x, y) in enumerate(zip(got, want)):
         assert x == pytest.approx(y, rel=1e-12, abs=1e-12 * sl2[q])
 
@@ -71,6 +71,3 @@ def test_one_determinization_per_component(monkeypatch, kind, variant):
     fn = label_prune if kind == "prune" else label_selfloop
     fn(a, p, variant)
     assert calls == [4, 4]
-    calls.clear()
-    fn(a, p, variant, by_component=False)
-    assert calls == [8]

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from nfareduce import (Nfa, banguage_nfa, bf_prob_lang, is_unambiguous,
-                       label_prune, label_selfloop, make_p_exp, word_prob,
-                       word_weight)
+from nfareduce import (Nfa, is_unambiguous, label_prune, label_selfloop,
+                       make_p_exp, word_prob, word_weight)
 
-from util import AB, a2, lang_upto, random_nfa, random_pa, words_upto
+from util import (AB, a2, banguage_nfa, bf_prob_lang, lang_upto,
+                  oracle_labels, random_nfa, random_pa, words_upto)
 
 
 class TestWorkedExamples:
@@ -86,11 +86,11 @@ class TestComponentWise:
             y = random_nfa(rng, max_states=4, alphabet=p.alphabet)
             from nfareduce import union
             a = union(x, y)
-            for fn, variants in ((label_prune, (1, 2, 3)),
-                                 (label_selfloop, (1, 2, 3))):
-                for v in variants:
-                    per_comp = fn(a, p, v, by_component=True)
-                    whole = fn(a, p, v, by_component=False)
+            for kind, fn in (("prune", label_prune),
+                             ("selfloop", label_selfloop)):
+                for v in (1, 2, 3):
+                    per_comp = fn(a, p, v)
+                    whole = oracle_labels(a, p, kind, v, by_component=False)
                     for q in range(a.num_states):
                         assert per_comp[q] == pytest.approx(whole[q], abs=1e-9)
 

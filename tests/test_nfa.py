@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from nfareduce import (Nfa, Pa, accepts, banguage_nfa, components,
-                       determinize, determinize_with_subsets, is_unambiguous,
-                       product, product_pa_nfa, product_with_pairs, reach,
-                       restrict, self_loop, serialize_nfa, through_state,
-                       trim, trim_survivors, union)
+from nfareduce import (Nfa, Pa, accepts, components, determinize,
+                       determinize_with_subsets, is_unambiguous,
+                       product_pa_nfa, reach, restrict, self_loop,
+                       serialize_nfa, through_state, trim, trim_survivors,
+                       union)
 from nfareduce.errors import AlphabetMismatchError, DeterminizationCapError
 
-from util import AB, ABC, a2, canon_dfa, lang_upto, random_nfa, words_upto
+from util import (AB, ABC, a2, banguage_nfa, canon_dfa, lang_upto, product,
+                  random_nfa, words_upto)
 
 
 def chain():
@@ -297,14 +298,6 @@ class TestDiscoveryOrder:
                     (1, "a", 4), (2, "a", 3), (2, "b", 4), (3, "b", 3),
                     (4, "a", 0)],
                    initial=[1, 0], final=[3, 4])
-
-    def test_product_pairs(self):
-        _, pairs = product_with_pairs(self.nfa(), self.nfa())
-        assert pairs == (
-            (0, 0), (0, 1), (1, 0), (1, 1), (3, 3), (1, 2), (2, 1), (2, 2),
-            (3, 2), (1, 4), (2, 4), (2, 3), (4, 1), (4, 2), (4, 4), (4, 3),
-            (3, 4), (4, 0), (3, 0), (0, 4), (0, 3), (0, 2), (2, 0), (1, 3),
-            (3, 1))
 
     def test_determinize_subsets(self):
         _, subsets = determinize_with_subsets(self.nfa())

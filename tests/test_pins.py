@@ -8,6 +8,7 @@ not taken on trust: every solve behind them, the value and each entry of
 its vector y, is also held to a 40-digit mpmath solve of the same product.
 """
 
+import mpmath
 import pytest
 
 from nfareduce import (Nfa, Pa, distance, is_unambiguous, label_prune,
@@ -15,7 +16,7 @@ from nfareduce import (Nfa, Pa, distance, is_unambiguous, label_prune,
                        weight_lang)
 from nfareduce import labels, langprob
 
-from util import mp_solve_star, mp_solve_y
+from util import MP_DPS, mp_solve, mp_solve_star, mp_solve_y
 
 ABC = ("a", "b", "c")
 
@@ -96,22 +97,25 @@ SPARSE = {
             "0x1.12398c47a3464p-2"),
 }
 
-# solves behind the values above, on either path
-SOLVES = 31
+# solves behind the values above, on either path: language solves on a
+# product, one y per component DFA product, and the labelling engine's
+# absorbing sl2 solves
+SOLVES = 17
 DFA_PRODUCTS = 5
+ABSORBING = 14
 
 
-def record(monkeypatch, name, log):
-    """Log every (product, result) of the solve ``name``, at each module
-    that binds it."""
+def record(monkeypatch, name, log, modules):
+    """Log every (arguments, result) of the solve ``name``, at each of
+    ``modules``, which bind it."""
     solve = getattr(langprob, name)
 
-    def recorded(r):
-        out = solve(r)
-        log.append((r, out))
+    def recorded(*args):
+        out = solve(*args)
+        log.append((args, out))
         return out
 
-    for module in (langprob, labels):
+    for module in modules:
         monkeypatch.setattr(module, name, recorded)
 
 
@@ -120,9 +124,10 @@ def record(monkeypatch, name, log):
                          ids=["dense", "sparse"])
 def test_values_bit_for_bit(monkeypatch, limit, want):
     monkeypatch.setattr(langprob, "DENSE_SOLVE_LIMIT", limit)
-    stars, ys = [], []
-    record(monkeypatch, "_solve_star", stars)
-    record(monkeypatch, "_solve_y", ys)
+    stars, ys, absorbing = [], [], []
+    record(monkeypatch, "_solve_star", stars, (langprob,))
+    record(monkeypatch, "_solve_y", ys, (langprob, labels))
+    record(monkeypatch, "_solve", absorbing, (labels,))
     a, p = rules(), model()
     assert validate_pa(p) == []
     assert not is_unambiguous(a)
@@ -133,12 +138,18 @@ def test_values_bit_for_bit(monkeypatch, limit, want):
         for variant in (1, 2, 3):
             values = fn(a, p, variant).values
             assert tuple(x.hex() for x in values) == want[f"{kind}{variant}"]
-    # one per prob_lang and weight_lang, one per absorbing sl2 solve (each
-    # of them a y solve too), and one y per component DFA product
-    assert (len(stars), len(ys)) == (SOLVES, SOLVES + DFA_PRODUCTS)
-    for r, value in stars:
+    # a y solve behind each language solve, and one per DFA product
+    assert (len(stars), len(ys), len(absorbing)) == (
+        SOLVES, SOLVES + DFA_PRODUCTS, ABSORBING)
+    for (r,), value in stars:
         assert value == pytest.approx(float(mp_solve_star(r)), rel=1e-12,
                                       abs=0.0)
-    for r, y in ys:
+    for (r,), y in ys:
         assert y.tolist() == pytest.approx(
             [float(v) for v in mp_solve_y(r)], rel=1e-12, abs=0.0)
+    for (n, rows, cols, weight, rhs), x in absorbing:
+        with mpmath.workdps(MP_DPS):
+            want = mp_solve(n, rows.tolist(), cols.tolist(), weight.tolist(),
+                            rhs.tolist())
+        assert x.tolist() == pytest.approx([float(v) for v in want],
+                                           rel=1e-12, abs=0.0)

@@ -20,21 +20,21 @@ def two_state_skeleton():
 
 class TestCountEvents:
     def test_event_balance(self):
-        table = count_events(two_state_skeleton(),
-                             [("a", "b"), ("a",), ("b",)])
+        # each visit to a state, by a word's start or by a transition into
+        # it, is followed by one transition out of it or one word end
+        skeleton = two_state_skeleton()
+        corpus = [("a", "b"), ("a",), ("b",)]
+        trans, ends = count_events(skeleton, corpus)
+        assert trans.tolist() == [[2, 2], [0, 0]]
+        assert ends.tolist() == [1, 2]
         for q in (0, 1):
-            outgoing = sum(c for (s, _sym), c in table.trans_count.items()
-                           if s == q) + table.end_count.get(q, 0)
-            incoming = table.visit[q]
-            assert outgoing == incoming
-
-    def test_merge_equals_single_pass(self):
-        corpus = [("a", "b"), ("a",), ("b",), ()]
-        whole = count_events(two_state_skeleton(), corpus)
-        left = count_events(two_state_skeleton(), corpus[:2])
-        right = count_events(two_state_skeleton(), corpus[2:])
-        left.merge(right)
-        assert left == whole
+            incoming = sum(int(trans[s, j])
+                           for s in (0, 1)
+                           for j, sym in enumerate(skeleton.alphabet)
+                           if skeleton.succ(s, sym) == (q,))
+            if q in skeleton.initial:
+                incoming += len(corpus)
+            assert trans[q].sum() + ends[q] == incoming
 
 
 class TestLearnPa:

@@ -1,17 +1,26 @@
-"""Shared fixtures: hand automata, random instance generators, naive
-brute-force oracles kept independent of the library's solver pipeline, and
-the per-state label pipelines the labelling engine is held to."""
+"""Shared fixtures and oracles for the tests.
+
+- Hand automata and random instance generators, plain and ``hypothesis``.
+- Constructions the library does not need, built through ``Nfa(...)``
+  with every transition checked: the product automaton and the
+  back-language acceptor.
+- Brute-force oracles kept independent of the library's solver pipeline:
+  word enumeration (``bf_prob_lang``, ``naive_lang_prob``), fixed-point
+  reachability, and 40-digit mpmath solves of the library's products.
+- The per-state label pipelines the labelling engine is held to, and the
+  per-word event counts the lockstep ``count_events`` is held to.
+"""
 
 import itertools
 
 import mpmath
+import numpy as np
 from hypothesis import strategies as st
 
-from nfareduce import (CountTable, Nfa, Pa, Ppa, accepts, banguage_nfa,
-                       components, determinize, prob_lang, product,
-                       product_pa_nfa, product_with_pairs, reach,
-                       restrict_with_map, through_state, trim,
-                       trim_survivors, validate_pa, weight_lang, word_prob)
+from nfareduce import (Nfa, Pa, Ppa, accepts, components, determinize,
+                       prob_lang, product_pa_nfa, reach, restrict_with_map,
+                       through_state, trim, trim_survivors, validate_pa,
+                       weight_lang, word_prob)
 from nfareduce.nfa import _closure, _explore
 
 ABC = ("a", "b", "c")
@@ -21,6 +30,8 @@ BA = ("b", "a")
 
 # digits of the mpmath reference solves
 MP_DPS = 40
+# most words ``bf_prob_lang`` may enumerate
+ENUM_GUARD = 10 ** 7
 
 
 def a2():
@@ -84,6 +95,45 @@ def naive_components(a):
     return comps
 
 
+def product_with_pairs(a1, a2):
+    """Product automaton of the pairs reachable from the initial pairs;
+    returns (automaton, pair of origin per product state)."""
+    assert set(a1.alphabet) == set(a2.alphabet)
+    pairs = [(q1, q2) for q1 in sorted(a1.initial)
+             for q2 in sorted(a2.initial)]
+    num_initial = len(pairs)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    transitions = []
+    i = 0
+    while i < len(pairs):
+        q1, q2 = pairs[i]
+        for sym in a1.alphabet:
+            for pair in itertools.product(a1.succ(q1, sym),
+                                          a2.succ(q2, sym)):
+                if pair not in index:
+                    index[pair] = len(pairs)
+                    pairs.append(pair)
+                transitions.append((i, sym, index[pair]))
+        i += 1
+    final = [i for i, (q1, q2) in enumerate(pairs)
+             if q1 in a1.final and q2 in a2.final]
+    return (Nfa(len(pairs), a1.alphabet, transitions, range(num_initial),
+                final),
+            tuple(pairs))
+
+
+def product(a1, a2):
+    """Product automaton; accepts the intersection of the two languages."""
+    return product_with_pairs(a1, a2)[0]
+
+
+def banguage_nfa(a, targets):
+    """Copy of ``a`` with ``targets`` as its final states: the acceptor of
+    the back-language of that set."""
+    return Nfa(a.num_states, a.alphabet, a.transitions(), a.initial,
+               targets)
+
+
 def self_product_unambiguous(a):
     """Ambiguity by the book: build the self-product automaton, trim it,
     and look for a surviving off-diagonal pair."""
@@ -134,7 +184,7 @@ def ppa_product(p, a, final_weights="model"):
     return Ppa(a.alphabet, initial, final, trans), kept_pairs
 
 
-def _mp_solve(n, rows, cols, weight, rhs):
+def mp_solve(n, rows, cols, weight, rhs):
     """x solving (I - M) x = rhs in MP_DPS-digit arithmetic, where M sums
     ``weight`` at (``rows``, ``cols``): sparse Gaussian elimination on the
     diagonal, which an M-matrix admits.  Call inside ``mpmath.workdps``."""
@@ -163,7 +213,7 @@ def mp_solve_star(r):
     as an mpf, in MP_DPS-digit arithmetic: the reference the float solver
     is held to."""
     with mpmath.workdps(MP_DPS):
-        x = _mp_solve(len(r.pair_map), r.src.tolist(), r.dst.tolist(),
+        x = mp_solve(len(r.pair_map), r.src.tolist(), r.dst.tolist(),
                       r.weight.tolist(), r.final.tolist())
         return mpmath.fsum(w * x[i] for i, w in enumerate(r.initial.tolist()))
 
@@ -173,7 +223,7 @@ def mp_solve_y(r):
     of mpfs in MP_DPS-digit arithmetic: the reference for each entry of the
     float solver's y."""
     with mpmath.workdps(MP_DPS):
-        return _mp_solve(len(r.pair_map), r.dst.tolist(), r.src.tolist(),
+        return mp_solve(len(r.pair_map), r.dst.tolist(), r.src.tolist(),
                          r.weight.tolist(), r.initial.tolist())
 
 
@@ -253,20 +303,19 @@ def oracle_labels(a, p, kind, variant, by_component=True):
 
 
 def per_word_count_events(skeleton, corpus):
-    """Event counts by running the complete DFA ``skeleton`` over each
-    corpus word in turn, one symbol at a time."""
+    """The (transition counts, end counts) arrays of ``count_events``, by
+    running the complete DFA ``skeleton`` over each corpus word in turn,
+    one symbol at a time."""
     (init,) = skeleton.initial
-    table = CountTable()
+    trans = np.zeros((skeleton.num_states, len(skeleton.alphabet)), np.int64)
+    ends = np.zeros(skeleton.num_states, np.int64)
     for word in corpus:
         q = init
-        table.visit[q] = table.visit.get(q, 0) + 1
         for sym in word:
-            key = (q, sym)
-            table.trans_count[key] = table.trans_count.get(key, 0) + 1
+            trans[q, skeleton.alphabet.index(sym)] += 1
             (q,) = skeleton.succ(q, sym)
-            table.visit[q] = table.visit.get(q, 0) + 1
-        table.end_count[q] = table.end_count.get(q, 0) + 1
-    return table
+        ends[q] += 1
+    return trans, ends
 
 
 def words_upto(alphabet, max_len):
@@ -284,6 +333,64 @@ def naive_lang_prob(p, a, max_len):
     literal oracle."""
     return sum(word_prob(p, w) for w in words_upto(a.alphabet, max_len)
                if accepts(a, w))
+
+
+def bf_prob_lang(p, a, max_len):
+    """Truncated brute-force oracle for prob_lang.
+
+    Returns (lower, tail): ``lower`` is the exact probability mass of the
+    accepted words of length <= max_len, ``tail`` the mass of all words
+    longer than max_len.  The true language probability lies in
+    [lower, lower + tail].
+
+    The sum is organised as a breadth-first sweep over words grouped by the
+    NFA subset they reach, which gives exactly the same totals as per-word
+    enumeration; the feasibility guard is still expressed in enumerated
+    words.
+    """
+    assert set(p.alphabet) == set(a.alphabet)
+    k = len(a.alphabet)
+    if sum(k ** i for i in range(max_len + 1)) > ENUM_GUARD:
+        raise ValueError(f"enumerating words up to length {max_len} over "
+                         f"{k} symbols exceeds the guard of {ENUM_GUARD}")
+
+    n = p.num_states
+    mats = {}
+    for sym in p.alphabet:
+        m = np.zeros((n, n))
+        for src in range(n):
+            for dst, w in p.row(sym, src).items():
+                m[src, dst] = w
+        mats[sym] = m
+    phi = np.array(p.final)
+    alpha = np.array(p.initial)
+
+    start = frozenset(a.initial)
+    level = {start: alpha}
+    eps_mass = float(alpha @ phi)
+    covered = eps_mass
+    lower = eps_mass if (start & a.final) else 0.0
+    for _ in range(max_len):
+        nxt = {}
+        for subset in sorted(level, key=sorted):
+            vec = level[subset]
+            for sym in a.alphabet:
+                target = set()
+                for q in subset:
+                    target.update(a.succ(q, sym))
+                target = frozenset(target)
+                moved = vec @ mats[sym]
+                if target in nxt:
+                    nxt[target] = nxt[target] + moved
+                else:
+                    nxt[target] = moved
+        level = nxt
+        for subset in sorted(level, key=sorted):
+            mass = float(level[subset] @ phi)
+            covered += mass
+            if subset & a.final:
+                lower += mass
+    return lower, max(0.0, 1.0 - covered)
 
 
 def naive_total_mass(p, alphabet, max_len):
