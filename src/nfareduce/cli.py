@@ -13,7 +13,7 @@ import math
 import sys
 import time
 
-from .errors import CapExceededError, FormatError
+from .errors import CapExceededError
 from .formats import (parse_nfa, parse_pa, read_corpus_bin, read_corpus_text,
                       serialize_nfa, serialize_pa)
 from .labels import label_prune, label_selfloop
@@ -80,18 +80,10 @@ def _write_manifest(args, inputs, config, timings, results):
 def cmd_reduce(args):
     a = _load_nfa(args.input)
     p = _load_pa(args.model)
-    if args.mode == "size":
-        if not math.isfinite(args.param):
-            raise FormatError("size mode needs a finite bound >= 1 or a "
-                              "ratio in (0,1)")
-        if args.param >= 1.0:
-            param = int(args.param)
-        elif args.param > 0.0:
-            param = max(1, math.ceil(args.param * a.num_states))
-        else:
-            raise FormatError("size mode needs a bound >= 1 or a ratio in (0,1)")
-    else:
-        param = args.param
+    param = args.param
+    if args.mode == "size" and 0.0 < param < 1.0:
+        # a ratio of the input size; ReductionConfig checks every other value
+        param = max(1, math.ceil(param * a.num_states))
     cfg = ReductionConfig(kind=args.type, label_variant=args.label,
                           mode=args.mode, param=param)
     run = greedy_size_driven if args.mode == "size" else greedy_error_driven
@@ -167,10 +159,7 @@ def cmd_learn(args):
     if args.complete:
         skeleton = complete_dfa(skeleton)
     corpus = _load_corpus(args.corpus, args.format)
-    try:
-        pa = learn_pa(skeleton, corpus)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    pa = learn_pa(skeleton, corpus)
     _write(args.output, serialize_pa(pa))
     _emit([("corpus_words", len(corpus)), ("model_states", pa.num_states),
            ("output", args.output)])
@@ -185,10 +174,7 @@ def cmd_eval(args):
     a = _load_nfa(args.first)
     reduced = _load_nfa(args.second)
     sample = _load_corpus(args.sample, args.format)
-    try:
-        mismatches, total, ratio = traffic_error(a, reduced, sample)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    mismatches, total, ratio = traffic_error(a, reduced, sample)
     _emit([("mismatches", mismatches), ("total", total), ("ratio", ratio)])
     if args.manifest:
         _write_manifest(args, [args.first, args.second, args.sample],
@@ -231,8 +217,8 @@ def build_parser():
     reduce_p.add_argument("--label", type=int, choices=(1, 2, 3), required=True)
     reduce_p.add_argument("--mode", choices=("size", "error"), required=True)
     reduce_p.add_argument("--param", type=float, required=True,
-                          help="size mode: bound n (>= 1) or ratio in (0,1); "
-                               "error mode: budget in [0,1]")
+                          help="size mode: integer bound n (>= 1) or ratio "
+                               "in (0,1); error mode: budget in [0,1]")
     reduce_p.add_argument("--exact", action="store_true",
                           help="also compute the exact distance")
     _add_shared(reduce_p)
@@ -283,7 +269,7 @@ def main(argv=None):
     args.raw_argv = argv
     try:
         return args.func(args)
-    except (FormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceededError as exc:

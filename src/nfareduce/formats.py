@@ -16,9 +16,9 @@ a (SRC, SYMBOL, DST) transition once::
     %Final q1 0.25
     q0 a q1 0.75              # SRC SYMBOL DST PROB
 
-Symbols are either printable non-whitespace tokens or byte literals
-``0xHH`` (parsed to ints 0-255).  State names are arbitrary tokens mapped
-to indices in order of first appearance.  Serialization is canonical:
+Symbols are either printable non-whitespace tokens without ``#`` or byte
+literals ``0xHH`` (parsed to ints 0-255).  State names are arbitrary tokens
+mapped to indices in order of first appearance.  Serialization is canonical:
 sections in the order Alphabet, Initial, Final, then transitions sorted by
 (src, symbol, dst), weights with 17 significant digits.
 
@@ -54,7 +54,9 @@ def format_symbol(sym):
         if not 0 <= sym <= 255:
             raise FormatError(f"byte symbol {sym!r} outside 0..255")
         return f"0x{sym:02X}"
-    if not sym or any(c.isspace() for c in sym) or not sym.isprintable():
+    # '#' would start a comment on the line read back
+    if (not sym or any(c.isspace() for c in sym) or not sym.isprintable()
+            or "#" in sym):
         raise FormatError(f"symbol {sym!r} cannot be written as a token")
     if _BYTE_TOKEN.match(sym):
         raise FormatError(f"string symbol {sym!r} would re-parse as a byte")

@@ -26,9 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AlphabetMismatchError
 from .nfa import (DEFAULT_DET_CAP, _closure, _explore, determinize,
-                  is_unambiguous)
+                  is_unambiguous, same_alphabet)
 from .pa import Ppa
 
 DENSE_SOLVE_LIMIT = 2000
@@ -64,12 +63,6 @@ class ProductPpa:
                        self.weight.tolist()))
 
 
-def _check_alphabets(p, a):
-    if set(p.alphabet) != set(a.alphabet):
-        raise AlphabetMismatchError(
-            f"model/automaton alphabets differ: {p.alphabet!r} vs {a.alphabet!r}")
-
-
 def product_pa_nfa(p, a, final_weights="model"):
     """Product of PA ``p`` and NFA ``a`` as a trimmed PPA.
 
@@ -82,7 +75,7 @@ def product_pa_nfa(p, a, final_weights="model"):
     """
     if final_weights not in ("model", "unit"):
         raise ValueError(f"unknown final_weights mode {final_weights!r}")
-    _check_alphabets(p, a)
+    same_alphabet(p, a)
     rows = p._trans
     order = a._sym_index
 

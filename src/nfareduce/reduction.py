@@ -25,17 +25,14 @@ MODES = ("size", "error")
 class ReductionConfig:
     """What to reduce and how far.
 
-    ``param`` is the state bound n in size mode (>= 1) and the error budget
-    in error mode (within [0, 1]).  ``order`` optionally fixes the state
-    processing sequence; by default states go by ascending label value with
-    ties broken by ascending index.
+    ``param`` is the state bound n in size mode (an integer >= 1) and the
+    error budget in error mode (within [0, 1]).
     """
 
     kind: str
     label_variant: int
     mode: str
     param: float
-    order: tuple = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -46,7 +43,8 @@ class ReductionConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "size":
-            if self.param < 1 or self.param != int(self.param):
+            # nan fails both tests, and inf % 1 is nan
+            if not (self.param >= 1 and self.param % 1 == 0):
                 raise ValueError("size mode needs an integer state bound >= 1")
         else:
             if not 0.0 <= self.param <= 1.0:
@@ -157,15 +155,6 @@ def default_order(labels):
     return tuple(sorted(range(len(labels)), key=lambda q: (labels[q], q)))
 
 
-def _resolve_order(cfg, labels):
-    if cfg.order is not None:
-        order = tuple(cfg.order)
-        if sorted(order) != list(range(len(labels))):
-            raise ValueError("order must be a permutation of all states")
-        return order
-    return default_order(labels)
-
-
 def _survivors(a, kind, v):
     return prune_survivors(a, v) if kind == "prune" else selfloop_survivors(a, v)
 
@@ -215,9 +204,8 @@ def greedy_size_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
     label_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    order = _resolve_order(cfg, labels)
     chosen = set()
-    for q in order:
+    for q in default_order(labels):
         chosen.add(q)
         if len(_survivors(a, cfg.kind, chosen)) <= n:
             break
@@ -238,9 +226,8 @@ def greedy_error_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
     label_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    order = _resolve_order(cfg, labels)
     chosen = set()
-    for q in order:
+    for q in default_order(labels):
         if _err(a, cfg.kind, chosen | {q}, labels) <= budget:
             chosen.add(q)
     return _report(a, cfg.kind, chosen, labels, label_time, t1)

@@ -24,7 +24,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DeterminizationCapError
-from .nfa import DEFAULT_DET_CAP, Nfa, _subset_step
+from .nfa import DEFAULT_DET_CAP, Nfa, _subset_step, same_alphabet
 from .pa import Pa
 
 
@@ -126,15 +126,15 @@ def traffic_error(a, a_reduced, sample):
     """Fraction of sample words classified differently by the two automata.
 
     Returns (mismatches, total, ratio); duplicates count with multiplicity.
-    Every symbol of every word must be in the alphabet.  Raises
+    The two alphabets must agree, and every symbol of every word must be
+    in them.  Raises
     DeterminizationCapError when either automaton's subset table would need
     more than ``DEFAULT_DET_CAP`` non-empty subsets.  A table holds one
     int32 per (subset, symbol): at the default cap and a byte alphabet, up
     to about 1 GiB per automaton, twice that for the copy while it grows,
     besides the subsets themselves.
     """
-    if set(a.alphabet) != set(a_reduced.alphabet):
-        raise ValueError("automata alphabets differ")
+    same_alphabet(a, a_reduced)
     words = list(sample)
     if not words:
         raise ValueError("sample is empty")

@@ -26,6 +26,16 @@ q0 a q0 0.33333333333333331
 q0 b q0 0.33333333333333331
 """
 
+SELFLOOP_TO_3 = """\
+%Alphabet a b
+%Initial 0
+%Final 1 2
+0 a 1
+0 b 2
+1 a 1
+1 b 1
+"""
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -74,6 +84,32 @@ class TestReduce:
                    "--input", fa, "--model", pa])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("param", ["2.5", "inf", "1e400", "nan", "0",
+                                       "-1"])
+    def test_bad_size_param_exit_2(self, files, capsys, param):
+        _, fa, pa = files
+        rc = main(["reduce", "--type", "selfloop", "--label", "1",
+                   "--mode", "size", f"--param={param}",
+                   "--input", fa, "--model", pa])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: size mode needs an integer state bound >= 1\n")
+
+    @pytest.mark.parametrize("param, expected", [
+        ("0.5", "%Alphabet a b\n%Initial 0\n%Final 0\n0 a 0\n0 b 0\n"),
+        ("3", SELFLOOP_TO_3),
+        ("3.0", SELFLOOP_TO_3),
+    ])
+    def test_good_size_param(self, files, capsys, param, expected):
+        # a ratio in (0, 1) scales the input's 4 states; 3 is a bound
+        tmp, fa, pa = files
+        out = tmp / "out.fa"
+        rc = main(["reduce", "--type", "selfloop", "--label", "1",
+                   "--mode", "size", "--param", param,
+                   "--input", fa, "--model", pa, "--output", str(out)])
+        assert rc == 0
+        assert out.read_text() == expected
 
     def test_error_mode(self, files, capsys):
         tmp, fa, pa = files
@@ -290,6 +326,16 @@ class TestLearnEval:
         sample.write_text("a b\nb z\n")
         assert main(["eval", fa, fa, "--sample", str(sample)]) == 2
         assert "error: symbol 'z' not in alphabet" in capsys.readouterr().err
+
+    def test_eval_alphabet_mismatch_exit_2(self, files, tmp_path, capsys):
+        _, fa, _ = files
+        other = tmp_path / "c.fa"
+        other.write_text("%Alphabet a c\n%Initial q\n%Final q\nq a q\n")
+        sample = tmp_path / "sample.txt"
+        sample.write_text("a\n")
+        assert main(["eval", fa, str(other), "--sample", str(sample)]) == 2
+        assert capsys.readouterr().err == (
+            "error: alphabets differ: ('a', 'b') vs ('a', 'c')\n")
 
     def test_eval_det_cap(self, files, tmp_path, capsys, monkeypatch):
         _, fa, _ = files

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from nfareduce import (Pa, parse_nfa, parse_pa, read_corpus_bin,
+from nfareduce import (Nfa, Pa, parse_nfa, parse_pa, read_corpus_bin,
                        read_corpus_text, serialize_nfa, serialize_pa,
                        validate_pa)
 from nfareduce.errors import FormatError
@@ -32,6 +32,15 @@ class TestSymbols:
     def test_byte_range(self):
         with pytest.raises(FormatError):
             format_symbol(256)
+
+    def test_comment_sign_rejected(self):
+        # '#' starts a comment, so the written line would not read back
+        a = Nfa(2, ("a", "x#y"), [(0, "x#y", 1)], [0], [1])
+        with pytest.raises(FormatError, match="cannot be written as a token"):
+            serialize_nfa(a)
+        p = Pa(("#",), [1.0], [0.5], [(0, "#", 0, 0.5)])
+        with pytest.raises(FormatError, match="cannot be written as a token"):
+            serialize_pa(p)
 
 
 class TestNfaFormat:

@@ -153,21 +153,6 @@ class TestGreedySizeDriven:
         assert report.error_bound == pytest.approx(8 / 27 + 2 / 9, abs=1e-12)
         assert distance(a, report.reduced, p) <= report.error_bound + 1e-12
 
-    def test_selfloop_with_variant2_order(self):
-        # ordering states by the variant-2 labelling (the coarser, cheaper
-        # one) while bounding with variant 3 singles out state 1
-        a = a2()
-        p = p_exp_ab()
-        order = tuple(sorted(range(4),
-                             key=lambda q: (label_selfloop(a, p, 2)[q], q)))
-        cfg = ReductionConfig("selfloop", 3, "size", 3, order=order)
-        report = greedy_size_driven(a, p, cfg)
-        assert report.output_size == 3
-        assert minimize_selfloop_set(a, report.chosen_set) == {1}
-        assert report.error_bound == pytest.approx(8 / 27, abs=1e-12)
-        assert distance(a, report.reduced, p) == pytest.approx(
-            report.error_bound, abs=1e-12)
-
     def test_multi_initial_selfloop_floor(self):
         # with several initial states the self-loop reduction bottoms out
         # at |I| states rather than 1
@@ -324,17 +309,12 @@ class TestConfigValidation:
             ReductionConfig("fold", 1, "size", 2)
 
     def test_bad_size_param(self):
-        with pytest.raises(ValueError):
-            ReductionConfig("prune", 1, "size", 0)
-        with pytest.raises(ValueError):
-            ReductionConfig("prune", 1, "size", 2.5)
+        for param in (0, 2.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="size mode needs an integer "
+                                                 "state bound >= 1"):
+                ReductionConfig("prune", 1, "size", param)
 
     def test_bad_error_param(self):
         with pytest.raises(ValueError):
             ReductionConfig("prune", 1, "error", 1.5)
 
-    def test_custom_order_must_be_permutation(self):
-        a = a2()
-        cfg = ReductionConfig("prune", 3, "size", 2, order=(0, 1))
-        with pytest.raises(ValueError):
-            greedy_size_driven(a, p_exp_ab(), cfg)

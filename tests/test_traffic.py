@@ -5,9 +5,10 @@ import random
 import pytest
 
 from nfareduce import traffic
-from nfareduce import (DeterminizationCapError, Nfa, accepts, complete_dfa,
-                       count_events, determinize, learn_pa, reduce_prune,
-                       reduce_selfloop, traffic_error, validate_pa, word_prob)
+from nfareduce import (AlphabetMismatchError, DeterminizationCapError, Nfa,
+                       accepts, complete_dfa, count_events, determinize,
+                       learn_pa, reduce_prune, reduce_selfloop, traffic_error,
+                       validate_pa, word_prob)
 
 from util import AB, a2, random_dfa, random_nfa, sample_word
 
@@ -154,6 +155,11 @@ class TestTrafficError:
     def test_empty_sample(self):
         with pytest.raises(ValueError):
             traffic_error(a2(), a2(), [])
+
+    def test_alphabet_mismatch(self):
+        other = Nfa(1, ("a", "c"), [(0, "a", 0)], [0], [0])
+        with pytest.raises(AlphabetMismatchError, match="alphabets differ"):
+            traffic_error(a2(), other, [("a",)])
 
     def test_symbol_after_the_run_dies_is_checked(self):
         # every run dies on "b" before it reaches the foreign "z"
