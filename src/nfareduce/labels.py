@@ -69,6 +69,9 @@ class StateLabelling:
 class _Engine:
     """One component's DFA and its untrimmed PA x DFA product, solved once.
 
+    The subsets are exact (``determinize_with_subsets``): the labels read
+    which states each one holds, so no accept-all state is absorbed.
+
     ``weight[i]`` and ``prob[i]`` are the y . 1 and y . final of the pairs
     on DFA state ``i``; ``holding[q]`` lists, ascending, the DFA states
     whose subset contains state ``q`` of the component.
@@ -237,7 +240,8 @@ def label_prune(a, p, variant, det_cap=DEFAULT_DET_CAP):
     reachable from q; variant 2 takes the probability of the back-language
     of that whole final set (cached per set); variant 3 takes the
     probability of the words whose accepting runs pass through q.
-    Variants 1 and 2 determinize each component once, under ``det_cap``.
+    Variants 1 and 2 determinize each component once, under ``det_cap``;
+    variant 3 determinizes each ambiguous through-state acceptor instead.
     """
     return _label(a, p, variant, "prune", det_cap)
 
@@ -249,6 +253,7 @@ def label_selfloop(a, p, variant, det_cap=DEFAULT_DET_CAP):
     probability of that back-language concatenated with Sigma*; variant 3
     subtracts from variant 2 the mass already accepted through q (tiny
     negative round-off is clamped to zero).  Every variant determinizes
-    each component once, under ``det_cap``.
+    each component once, under ``det_cap``, and variant 3 also each
+    ambiguous through-state acceptor, as prune variant 3 does.
     """
     return _label(a, p, variant, "selfloop", det_cap)

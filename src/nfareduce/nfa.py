@@ -308,10 +308,37 @@ def union(a1, a2):
 def _symmetric_difference(a1, a2, cap=DEFAULT_DET_CAP):
     """Partial DFA accepting the words in exactly one of L(a1) and L(a2):
     the subset construction on their union, with a subset final when it
-    holds a final state of one side only.  Raises DeterminizationCapError
-    when more than ``cap`` subsets appear."""
-    dfa, subsets = determinize_with_subsets(union(a1, a2), cap)
+    holds a final state of one side only.
+
+    Where one side's part of a subset holds an accept-all state of that
+    side, the part is cut down to the side's smallest one: either way that
+    side accepts every continuation.  Where both sides' parts hold one, no
+    continuation is in the difference, and the subset is cut to the empty
+    one, which is dropped (or, as the initial subset, has no moves).
+    Raises DeterminizationCapError when more than ``cap`` subsets appear."""
+    u = union(a1, a2)
     off = a1.num_states
+    sinks1 = _accept_all(a1)
+    sinks2 = frozenset(q + off for q in _accept_all(a2))
+    cut = None
+    if sinks1 or sinks2:
+        side1 = frozenset(range(off))
+        side2 = frozenset(range(off, u.num_states))
+        trap1 = frozenset(sorted(sinks1)[:1])
+        trap2 = frozenset(sorted(sinks2)[:1])
+
+        def cut(s):
+            held1 = not sinks1.isdisjoint(s)
+            held2 = not sinks2.isdisjoint(s)
+            if held1 and held2:
+                return _NO_STATES
+            if held1:
+                return s & side2 | trap1
+            if held2:
+                return s & side1 | trap2
+            return s
+
+    dfa, subsets = determinize_with_subsets(u, cap, cut=cut)
     final2 = frozenset(q + off for q in a2.final)
     final = [i for i, s in enumerate(subsets)
              if bool(s & a1.final) != bool(s & final2)]
@@ -368,10 +395,13 @@ def is_unambiguous(a):
     return all(pairs[j][0] == pairs[j][1] for j in alive)
 
 
-def _subset_step(a):
+def _subset_step(a, cut=None):
     """The subset-successor function of ``a``: it maps a subset of states
     to its (symbol, successor subset) pairs in alphabet order, leaving out
-    the symbols whose successor subset is empty."""
+    the symbols whose successor subset is empty.  With ``cut``, each
+    successor subset s is replaced by ``cut(s)``, and left out when that
+    is empty; ``cut`` must leave a subset without accept-all states as it
+    is."""
     order = a._sym_index.__getitem__
     # one frozenset per (state, symbol), so a target that comes from one
     # state alone is that shared object, hashed only once
@@ -394,16 +424,66 @@ def _subset_step(a):
             return targets.items()
         return [(sym, targets[sym]) for sym in sorted(targets, key=order)]
 
-    return step
+    if cut is None:
+        return step
+    # only a subset with a move into an accept-all state has a successor
+    # that the cut can change
+    sinks = _accept_all(a)
+    feeds = frozenset(q for q, m in moves.items()
+                      if any(not sinks.isdisjoint(d) for d in m.values()))
+
+    def cut_step(s):
+        if feeds.isdisjoint(s):
+            return step(s)
+        return [(sym, t) for sym, t in ((sym, cut(t)) for sym, t in step(s))
+                if t]
+
+    return cut_step
 
 
-def determinize_with_subsets(a, cap=DEFAULT_DET_CAP):
+def _accept_all(a):
+    """The accept-all states of ``a``: final states with a self-loop on
+    every symbol.  Every word read from one of them is accepted, so a
+    subset that holds one accepts every word, whatever else it holds."""
+    k = len(a.alphabet)
+    return frozenset(q for q in a.final
+                     if len(a._delta.get(q, _NO_MOVES)) == k
+                     and all(q in dsts for dsts in a._delta[q].values()))
+
+
+def _absorbing(a):
+    """The cut for a subset construction that only needs the language of
+    ``a``: a subset that holds an accept-all state becomes the smallest
+    one, which accepts the same words.  None when ``a`` has no accept-all
+    state, so that the construction stays the plain one."""
+    sinks = _accept_all(a)
+    if not sinks:
+        return None
+    trap = frozenset([min(sinks)])
+
+    def cut(s):
+        return s if sinks.isdisjoint(s) else trap
+
+    return cut
+
+
+def determinize_with_subsets(a, cap=DEFAULT_DET_CAP, *, cut=None):
     """Subset construction; returns (dfa, subset of original states per
     new state).  Only subsets reachable from the initial set are built, and
     the empty successor subset is dropped (the result is a partial DFA).
-    Raises DeterminizationCapError when more than ``cap`` subsets appear.
+
+    Without ``cut`` every subset is exact, as the labelling engine needs,
+    since it reads which states each subset holds.  A caller that needs
+    only a language may pass a ``cut`` that replaces each subset holding
+    an accept-all state, the initial one included, by one with the same
+    future (``_absorbing``), and leaves every other subset as it is; a
+    subset cut to the empty one is dropped.  Raises DeterminizationCapError
+    when more than ``cap`` subsets appear.
     """
-    subsets, edges = _explore([frozenset(a.initial)], _subset_step(a), cap)
+    start = frozenset(a.initial)
+    if cut is not None:
+        start = cut(start)
+    subsets, edges = _explore([start], _subset_step(a, cut), cap)
     final = [i for i, s in enumerate(subsets) if s & a.final]
     return (Nfa._built(len(subsets), a, _store(edges), [0], final,
                        name=a.name),
@@ -411,8 +491,10 @@ def determinize_with_subsets(a, cap=DEFAULT_DET_CAP):
 
 
 def determinize(a, cap=DEFAULT_DET_CAP):
-    """Language-preserving determinization via the subset construction."""
-    return determinize_with_subsets(a, cap)[0]
+    """Language-preserving determinization via the subset construction,
+    with accept-all states absorbed (``_absorbing``).  On an automaton
+    without them it is ``determinize_with_subsets``'s DFA."""
+    return determinize_with_subsets(a, cap, cut=_absorbing(a))[0]
 
 
 def through_state(a, q):

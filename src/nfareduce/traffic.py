@@ -16,7 +16,9 @@ The skeleton is a complete DFA, so its table is dense from the start.  For
 ``traffic_error``, each automaton gets a lazy subset table instead: the
 subset construction, with an explicit dead subset, whose rows are filled
 only when a run first reaches them.  Only the subsets the corpus leads to
-are built, under the usual determinization cap.
+are built, under the usual determinization cap, and a subset that holds an
+accept-all state is cut down to one such state, since eval reads only
+whether a word is accepted.
 """
 
 from itertools import chain
@@ -24,7 +26,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import DeterminizationCapError
-from .nfa import DEFAULT_DET_CAP, Nfa, _subset_step, same_alphabet
+from .nfa import (DEFAULT_DET_CAP, Nfa, _absorbing, _subset_step,
+                  same_alphabet)
 from .pa import Pa
 
 
@@ -152,7 +155,8 @@ def traffic_error(a, a_reduced, sample):
 
 
 class _LazySubsets:
-    """The subset construction of ``a``, filled only where a run goes.
+    """The subset construction of ``a`` with its accept-all states
+    absorbed (``nfa._absorbing``), filled only where a run goes.
 
     ``table[i, j]`` is the subset reached from subset ``i`` on the symbol
     in column ``j`` (``columns`` maps symbols to columns).  Subset 0 is the
@@ -162,7 +166,8 @@ class _LazySubsets:
     """
 
     def __init__(self, a, columns, cap):
-        self._subset_step = _subset_step(a)
+        cut = _absorbing(a)
+        self._subset_step = _subset_step(a, cut)
         self._columns = columns
         self._cap = cap
         self._accepting = a.final
@@ -172,6 +177,8 @@ class _LazySubsets:
         self.table = np.full((2, len(columns)), -1, np.int32)
         self._add(frozenset())
         initial = frozenset(a.initial)
+        if cut is not None:
+            initial = cut(initial)
         self.start = self._add(initial) if initial else 0
 
     def _add(self, subset):

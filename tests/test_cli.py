@@ -7,7 +7,7 @@ import pytest
 from nfareduce import accepts, parse_nfa, parse_pa, serialize_pa, traffic
 from nfareduce.cli import main
 
-from util import lang_upto
+from util import lang_upto, mp_distance
 
 A2_FA = """\
 %Alphabet a b
@@ -24,6 +24,37 @@ P_EXP_PA = """\
 %Final q0 0.33333333333333331
 q0 a q0 0.33333333333333331
 q0 b q0 0.33333333333333331
+"""
+
+# Sigma*abc | Sigma*bca | Sigma*cab | Sigma*acb, one chain per rule
+SIGMA_RULES_FA = """\
+%Alphabet a b c
+%Initial 0
+0 a 0
+0 b 0
+0 c 0
+0 a 1
+1 b 2
+2 c 3
+0 b 4
+4 c 5
+5 a 6
+0 c 7
+7 a 8
+8 b 9
+0 a 10
+10 c 11
+11 b 12
+%Final 3 6 9 12
+"""
+
+UNIFORM_ABC_PA = """\
+%Alphabet a b c
+%Initial q0 1
+%Final q0 0.25
+q0 a q0 0.25
+q0 b q0 0.25
+q0 c q0 0.25
 """
 
 SELFLOOP_TO_3 = """\
@@ -151,6 +182,29 @@ class TestReduce:
         report = dict(line.split("=", 1)
                       for line in capsys.readouterr().out.splitlines())
         assert float(report["exact_distance"]) >= 0.0
+
+    def test_exact_selfloop_absorbs_accept_all_states(self, tmp_path, capsys):
+        # a bound of 5 self-loops the first state of every rule; the labels
+        # determinize the rules into 12 subsets, and so does the exact
+        # distance once the four accept-all traps are absorbed (without
+        # absorption its subsets record which traps a word has hit: 25)
+        fa = tmp_path / "rules.fa"
+        fa.write_text(SIGMA_RULES_FA)
+        pa = tmp_path / "p.pa"
+        pa.write_text(UNIFORM_ABC_PA)
+        out = tmp_path / "reduced.fa"
+        assert main(["reduce", "--type", "selfloop", "--label", "1",
+                     "--mode", "size", "--param", "5", "--exact",
+                     "--det-cap", "16", "--input", str(fa),
+                     "--model", str(pa), "--output", str(out)]) == 0
+        report = dict(line.split("=", 1)
+                      for line in capsys.readouterr().out.splitlines())
+        assert report["output_states"] == "5"
+        reduced = parse_nfa(out.read_text())
+        want = mp_distance(parse_pa(UNIFORM_ABC_PA),
+                           parse_nfa(SIGMA_RULES_FA), reduced)
+        assert float(report["exact_distance"]) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
 
     def test_manifest(self, files, capsys):
         tmp, fa, pa = files

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from nfareduce import (Nfa, Pa, accepts, components, determinize,
                        determinize_with_subsets, is_unambiguous,
@@ -10,9 +11,12 @@ from nfareduce import (Nfa, Pa, accepts, components, determinize,
                        serialize_nfa, through_state, trim, trim_survivors,
                        union)
 from nfareduce.errors import AlphabetMismatchError, DeterminizationCapError
+from nfareduce.nfa import _absorbing, _accept_all
 
-from util import (AB, ABC, a2, banguage_nfa, canon_dfa, lang_upto, product,
-                  random_nfa, words_upto)
+from util import (AB, ABC, BA, a2, banguage_nfa, canon_dfa, lang_upto, nfas,
+                  product, random_nfa, trapped_nfas, words_upto)
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def chain():
@@ -217,6 +221,49 @@ class TestDeterminize:
         a = Nfa(3, AB, [(0, "a", 1), (0, "a", 2), (1, "b", 0)], [0], [1, 2])
         with pytest.raises(DeterminizationCapError):
             determinize(a, cap=1)
+
+
+class TestAcceptAll:
+    def test_accept_all_states(self):
+        # 0: final, loops on both symbols and also moves on; 1: final,
+        # loops on "a" only; 2: loops on both but is not final
+        a = Nfa(3, AB, [(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "a", 1),
+                        (2, "a", 2), (2, "b", 2)], [0], [0, 1])
+        assert _accept_all(a) == {0}
+
+    def test_subset_holding_one_is_cut_to_the_smallest(self):
+        # 3 and 4 accept everything; {1, 3, 4} becomes {3}, which stays
+        a = Nfa(5, AB, [(0, "a", 1), (0, "a", 3), (0, "a", 4), (0, "b", 2)]
+                + [(q, sym, q) for q in (3, 4) for sym in AB], [0], [2, 3, 4])
+        d = determinize(a)
+        assert d == Nfa(3, AB, [(0, "a", 1), (0, "b", 2), (1, "a", 1),
+                                (1, "b", 1)], [0], [1, 2])
+        assert determinize_with_subsets(a)[0].num_states == 4
+
+    @SETTINGS
+    @given(trapped_nfas())
+    def test_determinize_keeps_the_language(self, a):
+        d = determinize(a)
+        assert is_unambiguous(d) and len(d.initial) == 1
+        for w in words_upto(BA, 6):
+            assert accepts(d, w) == accepts(a, w)
+
+    @SETTINGS
+    @given(nfas())
+    def test_without_accept_all_states_nothing_changes(self, a):
+        assume(not _accept_all(a))
+        assert _absorbing(a) is None
+        assert determinize(a) == determinize_with_subsets(a)[0]
+
+    def test_cut_to_empty_is_dropped(self):
+        # 2 accepts everything; a cut that empties the subsets holding it
+        # drops them like an empty successor
+        a = Nfa(3, AB, [(0, "a", 1), (0, "b", 2), (2, "a", 2), (2, "b", 2)],
+                [0], [1, 2])
+        d, subsets = determinize_with_subsets(
+            a, cut=lambda s: frozenset() if 2 in s else s)
+        assert subsets == (frozenset({0}), frozenset({1}))
+        assert list(d.transitions()) == [(0, "a", 1)]
 
 
 class TestThroughState:

@@ -15,15 +15,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nfareduce
-from nfareduce import Pa, accepts, distance, prob_lang, weight_lang
+from nfareduce import (Nfa, Pa, accepts, determinize_with_subsets, distance,
+                       prob_lang, union, weight_lang)
 from nfareduce import langprob
-from nfareduce.nfa import _symmetric_difference
+from nfareduce.nfa import _accept_all, _symmetric_difference
 
-from util import BA, mp_distance, mp_lang, nfas, words_upto
+from util import BA, mp_distance, mp_lang, nfas, trapped_nfas, words_upto
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -31,6 +32,8 @@ SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 # not empty
 LIVE_NFAS = nfas(min_states=1, max_states=5).filter(
     lambda a: a.initial and a.final)
+# and automata with accept-all states, which the symmetric difference absorbs
+SOME_TRAPPED = st.one_of(LIVE_NFAS, trapped_nfas(max_states=5))
 
 # below any distance these instances produce, above the reference's own
 # 40-digit round-off when two languages are equal
@@ -74,7 +77,7 @@ def test_prob_and_weight_match_mpmath(p, a):
 
 
 @SETTINGS
-@given(pas(), LIVE_NFAS, LIVE_NFAS)
+@given(pas(), SOME_TRAPPED, SOME_TRAPPED)
 def test_distance_matches_mpmath_inclusion_exclusion(p, a1, a2):
     want = mp_distance(p, a1, a2)
     for d in (distance(a1, a2, p), distance(a2, a1, p)):
@@ -82,7 +85,7 @@ def test_distance_matches_mpmath_inclusion_exclusion(p, a1, a2):
 
 
 @SETTINGS
-@given(nfas(), nfas())
+@given(st.one_of(nfas(), trapped_nfas()), st.one_of(nfas(), trapped_nfas()))
 def test_symmetric_difference_dfa(a1, a2):
     sd = _symmetric_difference(a1, a2)
     assert len(sd.initial) == 1
@@ -90,6 +93,31 @@ def test_symmetric_difference_dfa(a1, a2):
                for _sym, dsts in sd.moves(q))
     for w in words_upto(BA, 5):
         assert accepts(sd, w) == (accepts(a1, w) != accepts(a2, w))
+
+
+def test_symmetric_difference_of_two_universal_starts():
+    # both sides start in an accept-all state: one state, no moves
+    universal = Nfa(1, BA, [(0, sym, 0) for sym in BA], [0], [0])
+    looped = Nfa(2, BA, [(0, sym, 0) for sym in BA] + [(0, "a", 1)],
+                 [0], [0])
+    for a1, a2 in ((universal, universal), (universal, looped),
+                   (looped, universal)):
+        sd = _symmetric_difference(a1, a2)
+        assert (sd.num_states, sd.num_transitions()) == (1, 0)
+        assert sd.initial == {0} and not sd.final
+
+
+@SETTINGS
+@given(nfas(), nfas())
+def test_symmetric_difference_without_accept_all_states_is_plain(a1, a2):
+    # the construction of the union, subset for subset, numbering and all
+    assume(not _accept_all(a1) and not _accept_all(a2))
+    dfa, subsets = determinize_with_subsets(union(a1, a2))
+    final2 = {q + a1.num_states for q in a2.final}
+    plain = Nfa(dfa.num_states, BA, dfa.transitions(), dfa.initial,
+                [i for i, s in enumerate(subsets)
+                 if bool(s & a1.final) != bool(s & final2)])
+    assert _symmetric_difference(a1, a2) == plain
 
 
 @pytest.mark.parametrize("limit", [langprob.DENSE_SOLVE_LIMIT, 0],

@@ -7,8 +7,8 @@ import pytest
 from nfareduce import traffic
 from nfareduce import (AlphabetMismatchError, DeterminizationCapError, Nfa,
                        accepts, complete_dfa, count_events, determinize,
-                       learn_pa, reduce_prune, reduce_selfloop, traffic_error,
-                       validate_pa, word_prob)
+                       learn_pa, reduce_prune, reduce_selfloop, self_loop,
+                       traffic_error, validate_pa, word_prob)
 
 from util import AB, a2, random_dfa, random_nfa, sample_word
 
@@ -202,3 +202,18 @@ class TestTrafficError:
                     assert accepts(a, w) and not accepts(pruned, w)
                 if accepts(a, w) != accepts(looped, w):
                     assert accepts(looped, w) and not accepts(a, w)
+
+    def test_selfloop_mismatches_match_per_word_accepts(self):
+        # the looped states accept every word; the lazy subset table cuts
+        # a subset holding one down to one state
+        rng = random.Random(64)
+        for _ in range(15):
+            a = random_nfa(rng, max_states=6)
+            v = rng.sample(range(a.num_states), k=rng.randint(1, a.num_states))
+            looped = self_loop(a, v)
+            sample = [tuple(rng.choice(a.alphabet)
+                            for _ in range(rng.randint(0, 6)))
+                      for _ in range(60)]
+            want = sum(accepts(a, w) != accepts(looped, w) for w in sample)
+            assert traffic_error(a, looped, sample)[:2] == (want, len(sample))
+            assert traffic_error(looped, a, sample)[:2] == (want, len(sample))

@@ -17,10 +17,11 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
-from nfareduce import (Nfa, Pa, Ppa, accepts, components, determinize,
-                       prob_lang, product_pa_nfa, reach, restrict_with_map,
-                       through_state, trim, trim_survivors, validate_pa,
-                       weight_lang, word_prob)
+from nfareduce import (Nfa, Pa, Ppa, accepts, components,
+                       determinize_with_subsets, prob_lang, product_pa_nfa,
+                       reach, restrict_with_map, self_loop, through_state,
+                       trim, trim_survivors, union, validate_pa, weight_lang,
+                       word_prob)
 from nfareduce.nfa import _closure, _explore
 
 ABC = ("a", "b", "c")
@@ -229,8 +230,10 @@ def mp_solve_y(r):
 
 def mp_lang(p, a, final_weights="model"):
     """Reference probability (or, with ``final_weights="unit"``, weight)
-    of L(a): the MP_DPS-digit solve on the product with determinize(a)."""
-    return mp_solve_star(product_pa_nfa(p, determinize(a), final_weights))
+    of L(a): the MP_DPS-digit solve on the product with the exact subset
+    construction of a, which absorbs no accept-all state."""
+    return mp_solve_star(product_pa_nfa(p, determinize_with_subsets(a)[0],
+                                        final_weights))
 
 
 def mp_distance(p, a1, a2):
@@ -410,6 +413,20 @@ def nfas(draw, min_states=0, max_states=6):
                                           states), max_size=4 * max_states))
     return Nfa(n, BA, transitions, draw(st.frozensets(states)),
                draw(st.frozensets(states)))
+
+
+@st.composite
+def trapped_nfas(draw, max_states=6):
+    """An ``nfas()`` automaton with accept-all states planted: a random set
+    of its states self-looped over BA (and made final), and in one draw of
+    four a one-state universal automaton unioned in, so that a subset
+    construction starts in an accept-all state."""
+    a = draw(nfas(max_states=max_states))
+    if a.num_states:
+        a = self_loop(a, draw(st.frozensets(st.integers(0, a.num_states - 1))))
+    if draw(st.integers(0, 3)) == 0:
+        a = union(a, Nfa(1, BA, [(0, sym, 0) for sym in BA], [0], [0]))
+    return a
 
 
 @st.composite
