@@ -4,12 +4,12 @@ probabilistic model of the input words."""
 from .errors import (AlphabetMismatchError, CapExceededError,
                      DeterminizationCapError, FormatError)
 from .nfa import (DEFAULT_DET_CAP, Nfa, accepts, components, coreach,
-                  determinize, determinize_with_subsets, is_unambiguous,
-                  reach, restrict, restrict_with_map, self_loop,
-                  through_state, trim, trim_survivors, union)
+                  determinize, determinize_with_subsets, reach, restrict,
+                  restrict_with_map, self_loop, through_state, trim,
+                  trim_survivors, union)
 from .pa import (Pa, Ppa, make_p_exp, support, validate_pa, word_prob,
                  word_weight)
-from .langprob import ProductPpa, prob_lang, product_pa_nfa, weight_lang
+from .langprob import ProductPpa, prob_lang, product_pa_nfa
 from .labels import StateLabelling, label_prune, label_selfloop
 from .reduction import (ReductionConfig, ReductionReport, default_order,
                         distance, err_prune, err_selfloop,
@@ -27,12 +27,12 @@ __all__ = [
     "AlphabetMismatchError", "CapExceededError", "DeterminizationCapError",
     "FormatError",
     "DEFAULT_DET_CAP", "Nfa", "accepts", "components", "coreach",
-    "determinize", "determinize_with_subsets", "is_unambiguous", "reach",
-    "restrict", "restrict_with_map", "self_loop", "through_state", "trim",
+    "determinize", "determinize_with_subsets", "reach", "restrict",
+    "restrict_with_map", "self_loop", "through_state", "trim",
     "trim_survivors", "union",
     "Pa", "Ppa", "make_p_exp", "support", "validate_pa", "word_prob",
     "word_weight",
-    "ProductPpa", "prob_lang", "product_pa_nfa", "weight_lang",
+    "ProductPpa", "prob_lang", "product_pa_nfa",
     "StateLabelling", "label_prune", "label_selfloop",
     "ReductionConfig", "ReductionReport", "default_order", "distance",
     "err_prune", "err_selfloop", "greedy_error_driven", "greedy_size_driven",

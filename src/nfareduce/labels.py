@@ -11,9 +11,9 @@ Every label is the probability (or weight) of a language derived from one
 state, so it only depends on the weakly-connected component that state
 lives in, and labels are computed component by component.  Most of them
 are read off one automaton per component: the component is determinized
-once (under ``det_cap``), its DFA is multiplied with the PA once, untrimmed,
-and one solve gives the row vector y = initial . (I - E)^-1 of that
-product, the expected number of visits of each (PA state, subset) pair.
+once (under ``det_cap``), its DFA is multiplied with the PA once, and one
+solve gives the row vector y = initial . (I - E)^-1 of that product, the
+expected number of visits of each (PA state, subset) pair.
 The words that reach q are exactly the words whose subset contains q, so:
 
 - p1(q) sums, over each final f reachable from q, the y . final of the
@@ -30,7 +30,8 @@ The words that reach q are exactly the words whose subset contains q, so:
 
 p3 and the subtrahend of sl3 are the words with an accepting run through
 q, which a subset does not tell; they stay one ``prob_lang`` of
-``through_state`` per state.
+``through_state`` per state, which determinizes that state's small
+acceptor (under ``det_cap``).  Every solve is thus on a PA x DFA product.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ import numpy as np
 
 from .langprob import (_as_prob, _continuation_mass, _solve, _solve_y,
                        prob_lang, product_pa_nfa)
-from .nfa import (DEFAULT_DET_CAP, Nfa, _closure, components, coreach,
+from .nfa import (DEFAULT_DET_CAP, _closure, components, coreach,
                   determinize_with_subsets, reach, restrict_with_map,
                   through_state)
 
@@ -67,7 +68,7 @@ class StateLabelling:
 
 
 class _Engine:
-    """One component's DFA and its untrimmed PA x DFA product, solved once.
+    """One component's DFA and its PA x DFA product, solved once.
 
     The subsets are exact (``determinize_with_subsets``): the labels read
     which states each one holds, so no accept-all state is absorbed.
@@ -80,9 +81,7 @@ class _Engine:
     def __init__(self, sub, p, det_cap):
         dfa, subsets = determinize_with_subsets(sub, det_cap)
         self.sub, self.subsets, self.num_pa = sub, subsets, p.num_states
-        every = Nfa._built(dfa.num_states, dfa, dfa._delta, dfa.initial,
-                           range(dfa.num_states))
-        self.r = r = product_pa_nfa(p, every, "unit")
+        self.r = r = product_pa_nfa(p, dfa)
         pairs = np.array(r.pair_map, dtype=np.intp).reshape(-1, 2)
         self.pa_of, self.dfa_of = pairs[:, 0], pairs[:, 1]
         self.holding = [[] for _ in range(sub.num_states)]
@@ -241,7 +240,7 @@ def label_prune(a, p, variant, det_cap=DEFAULT_DET_CAP):
     of that whole final set (cached per set); variant 3 takes the
     probability of the words whose accepting runs pass through q.
     Variants 1 and 2 determinize each component once, under ``det_cap``;
-    variant 3 determinizes each ambiguous through-state acceptor instead.
+    variant 3 determinizes each state's through-state acceptor instead.
     """
     return _label(a, p, variant, "prune", det_cap)
 
@@ -254,6 +253,6 @@ def label_selfloop(a, p, variant, det_cap=DEFAULT_DET_CAP):
     subtracts from variant 2 the mass already accepted through q (tiny
     negative round-off is clamped to zero).  Every variant determinizes
     each component once, under ``det_cap``, and variant 3 also each
-    ambiguous through-state acceptor, as prune variant 3 does.
+    state's through-state acceptor, as prune variant 3 does.
     """
     return _label(a, p, variant, "selfloop", det_cap)

@@ -1,10 +1,12 @@
-"""Probability and weight of a regular language under a PA.
+"""Probability of a regular language under a PA.
 
-The pipeline follows the product + linear-system method: make the automaton
-unambiguous (determinize if needed), build the trimmed product with the PA,
-sum the per-symbol matrices into E, and evaluate initial . (I - E)^-1 . final.
-The inverse exists because the trimmed product has spectral radius below 1,
-so the matrix star (the sum of all powers of E) equals (I - E)^-1.
+The pipeline follows the product + linear-system method: determinize the
+automaton unless it is deterministic already, build its product with the
+PA, sum the per-symbol matrices into E, and evaluate
+initial . (I - E)^-1 . final.  With a deterministic automaton, E is
+dominated entry by entry by the PA's own transition matrix, whose spectral
+radius is below 1, so the product needs no trimming: the matrix star (the
+sum of all powers of E) equals (I - E)^-1.
 
 The solve is direct at every size: the row vector y = initial . (I - E)^-1
 comes from the transposed system, by dense LU up to ``DENSE_SOLVE_LIMIT``
@@ -16,9 +18,8 @@ every Schur complement an M-matrix.  scipy is imported only when a product
 exceeds the dense limit: loading scipy.sparse costs a run more start-up
 time and resident memory than its dense solves do.
 
-The labelling engine (``labels``) takes y itself (``_solve_y``), on an
-untrimmed product with a DFA: there E is dominated by the PA's own
-transition matrix, so I - E stays nonsingular without trimming.
+The labelling engine (``labels``) takes y itself (``_solve_y``), on the
+same product with a component's DFA.
 """
 
 from dataclasses import dataclass
@@ -26,8 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .nfa import (DEFAULT_DET_CAP, _closure, _explore, determinize,
-                  is_unambiguous, same_alphabet)
+from .nfa import DEFAULT_DET_CAP, _explore, determinize, same_alphabet
 from .pa import Ppa
 
 DENSE_SOLVE_LIMIT = 2000
@@ -36,8 +36,8 @@ CLAMP_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ProductPpa:
-    """Product of a PA and an automaton, as arrays; ``product_pa_nfa``
-    builds the trimmed one.
+    """Product of a PA and an automaton, as arrays, over the pairs
+    reachable from the initial pairs; ``product_pa_nfa`` builds it.
 
     ``pair_map[i]`` gives the (pa_state, nfa_state) origin of product
     state ``i``; ``initial`` and ``final`` are the weight vectors.  Entry
@@ -63,18 +63,16 @@ class ProductPpa:
                        self.weight.tolist()))
 
 
-def product_pa_nfa(p, a, final_weights="model"):
-    """Product of PA ``p`` and NFA ``a`` as a trimmed PPA.
+def product_pa_nfa(p, a):
+    """Product of PA ``p`` and automaton ``a`` over the pairs reachable
+    from the initial pairs, untrimmed.
 
-    The product pairs PA states with NFA states; a pair is initial when the
-    PA weight is positive and the NFA state is initial, final when the NFA
-    state is final (carrying the PA final weight, or weight 1 when
-    ``final_weights="unit"``).  If ``a`` is unambiguous the product assigns
-    every word of L(a) its PA probability (resp. leftover weight) and every
-    other word 0.
+    The product pairs PA states with automaton states; a pair is initial
+    when the PA weight is positive and the automaton state is initial, and
+    final, with the PA final weight, when the automaton state is final.  If
+    ``a`` is deterministic the product assigns every word of L(a) its PA
+    probability and every other word 0, and I - E is nonsingular.
     """
-    if final_weights not in ("model", "unit"):
-        raise ValueError(f"unknown final_weights mode {final_weights!r}")
     same_alphabet(p, a)
     rows = p._trans
     order = a._sym_index
@@ -93,50 +91,33 @@ def product_pa_nfa(p, a, final_weights="model"):
     starts = [(qp, qa) for qp in range(p.num_states) if p.initial[qp] > 0.0
               for qa in sorted(a.initial)]
     pairs, edges = _explore(starts, step)
-
-    def final_weight(qp, qa):
-        if qa not in a.final:
-            return 0.0
-        if final_weights == "unit":
-            return 1.0
-        return p.final[qp] if p.final[qp] > 0.0 else 0.0
-
-    final_all = np.array([final_weight(qp, qa) for qp, qa in pairs])
+    initial = np.array([p.initial[qp]
+                        if qa in a.initial and p.initial[qp] > 0.0 else 0.0
+                        for qp, qa in pairs])
+    final = np.array([p.final[qp] if qa in a.final and p.final[qp] > 0.0
+                      else 0.0 for qp, qa in pairs])
     # comprehensions, not zip(*edges): zip makes one garbage-collected
     # iterator per edge, and large products then trigger full collections
     src = np.array([i for i, _label, _j in edges], dtype=np.intp)
     dst = np.array([j for _i, _label, j in edges], dtype=np.intp)
-
-    # backward pass: keep only pairs that can still reach a final pair
-    by_dst = np.argsort(dst, kind="stable")
-    into = src[by_dst].tolist()
-    bounds = np.searchsorted(dst[by_dst], np.arange(len(pairs) + 1)).tolist()
-    alive = _closure(np.flatnonzero(final_all).tolist(),
-                     lambda j: into[bounds[j]:bounds[j + 1]])
-
-    kept = np.array(sorted(alive), dtype=np.intp)
-    pos = np.full(len(pairs), -1, dtype=np.intp)
-    pos[kept] = np.arange(len(kept))
-    kept_pairs = tuple(pairs[i] for i in kept.tolist())
-    initial = np.array([p.initial[qp]
-                        if qa in a.initial and p.initial[qp] > 0.0 else 0.0
-                        for qp, qa in kept_pairs])
-    src, dst = pos[src], pos[dst]
-    keep = (src >= 0) & (dst >= 0)
-    src, dst = src[keep], dst[keep]
-    sym = np.array([label[0] for _i, label, _j in edges], dtype=np.intp)[keep]
-    weight = np.array([label[1] for _i, label, _j in edges],
-                      dtype=float)[keep]
+    sym = np.array([label[0] for _i, label, _j in edges], dtype=np.intp)
+    weight = np.array([label[1] for _i, label, _j in edges], dtype=float)
     # the order of Ppa.entries(): by source, alphabet index, target
     perm = np.lexsort((dst, sym, src))
-    return ProductPpa(a.alphabet, kept_pairs, initial, final_all[kept],
-                      src[perm], sym[perm], dst[perm], weight[perm])
+    return ProductPpa(a.alphabet, tuple(pairs), initial, final, src[perm],
+                      sym[perm], dst[perm], weight[perm])
 
 
 def _solve(n, rows, cols, weight, rhs):
     """x solving (I - M) x = rhs, where M is n x n with the ``weight``
     entries summed at (``rows``, ``cols``): dense LU up to
-    ``DENSE_SOLVE_LIMIT`` unknowns, sparse LU with diagonal pivots beyond."""
+    ``DENSE_SOLVE_LIMIT`` unknowns, sparse LU with diagonal pivots beyond.
+
+    Every M here is a PA x DFA product's E (transposed for y, or lumped
+    for an absorbing solve in ``labels``) or the PA's own transition
+    matrix: nonnegative, with rows (or columns) summing to at most 1 and
+    spectral radius below 1, as the module's pivoting argument needs.
+    """
     try:
         if n <= DENSE_SOLVE_LIMIT:
             m = np.zeros((n, n))
@@ -157,10 +138,8 @@ def _solve(n, rows, cols, weight, rhs):
 
 
 def _solve_y(r):
-    """The row vector y = initial . (I - E)^-1 of a product PPA, from the
-    transposed system (I - E)^T y = initial.  The product need not be
-    trim when its automaton is deterministic: E is then dominated by the
-    PA's own transition matrix, whose spectral radius is below 1."""
+    """The row vector y = initial . (I - E)^-1 of a PA x DFA product, from
+    the transposed system (I - E)^T y = initial."""
     n = len(r.pair_map)
     if n == 0:
         return np.zeros(0)
@@ -189,12 +168,6 @@ def _continuation_mass(p):
                   np.array(p.final, dtype=float))
 
 
-def _lang_value(p, a, final_weights, det_cap):
-    if not is_unambiguous(a):
-        a = determinize(a, det_cap)
-    return _solve_star(product_pa_nfa(p, a, final_weights))
-
-
 def _as_prob(val):
     """A computed language probability, clamped to [0, 1]."""
     if val < -CLAMP_TOL or val > 1.0 + CLAMP_TOL:
@@ -203,16 +176,17 @@ def _as_prob(val):
     return min(max(val, 0.0), 1.0)
 
 
+def _deterministic(a):
+    """True when ``a`` has at most one initial state and at most one
+    successor per state and symbol: one pass over the store."""
+    return len(a.initial) <= 1 and all(len(dsts) == 1
+                                       for moves in a._delta.values()
+                                       for dsts in moves.values())
+
+
 def prob_lang(p, a, det_cap=DEFAULT_DET_CAP):
-    """Probability of L(a) under PA ``p``, in [0, 1]."""
-    return _as_prob(_lang_value(p, a, "model", det_cap))
-
-
-def weight_lang(p, a, det_cap=DEFAULT_DET_CAP):
-    """Total weight of L(a) under ``p``: the same computation as prob_lang
-    with the PA final weights replaced by all-ones.  May exceed 1."""
-    val = _lang_value(p, a, "unit", det_cap)
-    if val < -CLAMP_TOL:
-        raise RuntimeError(f"language weight {val!r} negative beyond "
-                           "tolerance (internal error)")
-    return max(val, 0.0)
+    """Probability of L(a) under PA ``p``, in [0, 1].  An automaton that is
+    not deterministic is determinized first, under ``det_cap``."""
+    if not _deterministic(a):
+        a = determinize(a, det_cap)
+    return _as_prob(_solve_star(product_pa_nfa(p, a)))

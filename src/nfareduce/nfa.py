@@ -345,56 +345,6 @@ def _symmetric_difference(a1, a2, cap=DEFAULT_DET_CAP):
     return Nfa._built(dfa.num_states, dfa, dfa._delta, dfa.initial, final)
 
 
-def is_unambiguous(a):
-    """True iff every accepted word has exactly one accepting run.
-
-    The automaton is ambiguous exactly when some pair of distinct states
-    (p, q) is reachable in its self-product, from an initial pair, on the
-    same word, and can still reach a final pair.  The pair graph is
-    explored directly, as unordered pairs (p <= q); no product automaton
-    is built.  A deterministic automaton (at most one initial state and at
-    most one successor per state and symbol) is unambiguous; that is
-    checked first, in one pass over the store.
-    """
-    delta = a._delta
-    if len(a.initial) <= 1 and all(len(dsts) == 1 for moves in delta.values()
-                                   for dsts in moves.values()):
-        return True
-
-    def step(pair):
-        p, q = pair
-        if p == q:
-            for dsts in delta.get(p, _NO_MOVES).values():
-                for i, d1 in enumerate(dsts):
-                    for d2 in dsts[i:]:
-                        yield None, (d1, d2)
-            return
-        mp = delta.get(p, _NO_MOVES)
-        mq = delta.get(q, _NO_MOVES)
-        if len(mq) < len(mp):
-            mp, mq = mq, mp
-        for sym, dsts1 in mp.items():
-            dsts2 = mq.get(sym)
-            if dsts2 is not None:
-                for d1 in dsts1:
-                    for d2 in dsts2:
-                        yield None, ((d1, d2) if d1 <= d2 else (d2, d1))
-
-    init = sorted(a.initial)
-    starts = [(p, q) for i, p in enumerate(init) for q in init[i:]]
-    pairs, edges = _explore(starts, step)
-    if all(p == q for p, q in pairs):
-        return True
-    rev = {}
-    for i, _label, j in edges:
-        rev.setdefault(j, []).append(i)
-    final = a.final
-    alive = _closure([j for j, (p, q) in enumerate(pairs)
-                      if p in final and q in final],
-                     lambda j: rev.get(j, ()))
-    return all(pairs[j][0] == pairs[j][1] for j in alive)
-
-
 def _subset_step(a, cut=None):
     """The subset-successor function of ``a``: it maps a subset of states
     to its (symbol, successor subset) pairs in alphabet order, leaving out
@@ -501,18 +451,29 @@ def through_state(a, q):
     """Automaton accepting exactly the words with an accepting run passing
     through ``q``: the concatenation of q's back-language and language.
 
-    States are (state, flag) pairs over the reachable part; the flag flips
-    to 1 upon entering ``q`` and accepting requires flag 1 at a final state.
+    States are (state, flag) pairs; the flag flips to 1 upon entering
+    ``q`` and accepting requires flag 1 at a final state.  Only the useful
+    pairs are built: flag 0 on the states that can reach ``q``, flag 1 on
+    those reachable from ``q`` that can reach a final state, and none at
+    all when ``q`` cannot reach one.  Every state of the result is on an
+    initial-to-final path.
     """
     a._check_state(q)
+    live = coreach(a, a.final)
+    # a flag-0 pair must reach q, and q a final state
+    to_q = coreach(a, [q]) if q in live else _NO_STATES
 
     def step(node):
         s, flag = node
         for sym, dsts in a.moves(s):
             for d in dsts:
-                yield sym, (d, 1 if (flag or d == q) else 0)
+                if flag or d == q:
+                    if d in live:
+                        yield sym, (d, 1)
+                elif d in to_q:
+                    yield sym, (d, 0)
 
-    starts = [(i, 1 if i == q else 0) for i in sorted(a.initial)]
+    starts = [(i, 1 if i == q else 0) for i in sorted(a.initial) if i in to_q]
     nodes, edges = _explore(starts, step)
     final = [i for i, (s, flag) in enumerate(nodes)
              if flag and s in a.final]

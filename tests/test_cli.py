@@ -315,6 +315,28 @@ class TestLabel:
         assert "Traceback" not in err
         assert main(argv + ["--det-cap", "2"]) == 0
 
+    def test_prune3_det_cap_on_unambiguous_rule(self, files, tmp_path,
+                                                capsys):
+        # Sigma* a Sigma^6 is unambiguous, but the through-state acceptor
+        # of state 0 is the whole rule, whose DFA has 2^7 subsets: p3
+        # determinizes it, so the cap bounds p3 too
+        _, _, pa = files
+        fa = tmp_path / "sigma6.fa"
+        fa.write_text("%Alphabet a b\n%Initial 0\n%Final 7\n0 a 0\n0 b 0\n"
+                      "0 a 1\n" + "".join(f"{i} {s} {i + 1}\n"
+                                         for i in range(1, 7) for s in "ab"))
+        argv = ["label", "--type", "prune", "--label", "3",
+                "--input", str(fa), "--model", pa]
+        assert main(argv + ["--det-cap", "64"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("resource cap: ")
+        assert "Traceback" not in captured.err
+        assert main(argv + ["--det-cap", "1000"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{q}\t0.029263831732967517\n" for q in range(8))
+
     def test_manifest_records_det_cap(self, files, capsys):
         tmp, fa, pa = files
         manifest = tmp / "run.json"

@@ -1,20 +1,19 @@
 """The fast paths of the language-probability pipeline against the
 constructions they replace, on random small automata and models.
 
-``is_unambiguous`` answers deterministic automata by one pass over the
-store and walks the pair graph otherwise; the oracle builds and trims the
-self-product.  ``product_pa_nfa`` writes its entries straight to
-arrays; the oracle builds a ``Ppa`` transition by transition.  The subset
-construction and ``through_state`` fill the transition store without
-re-validation; rebuilding them through ``Nfa.__init__`` must give the same
-automaton.
+``prob_lang`` tells a deterministic automaton by one pass over the store;
+such an automaton is unambiguous by the self-product oracle.
+``product_pa_nfa`` writes its entries straight to arrays; the oracle
+builds a ``Ppa`` transition by transition.  The subset construction and
+``through_state`` fill the transition store without re-validation;
+rebuilding them through ``Nfa.__init__`` must give the same automaton.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfareduce import (Nfa, Ppa, determinize, is_unambiguous, product_pa_nfa,
-                       through_state)
+from nfareduce import Nfa, Ppa, determinize, product_pa_nfa, through_state
+from nfareduce.langprob import _deterministic
 
 from util import BA, dfas, nfas, ppa_product, self_product_unambiguous
 
@@ -40,23 +39,17 @@ def entry_key(a):
 
 
 @SETTINGS
-@given(nfas())
-def test_is_unambiguous_matches_self_product(a):
-    assert is_unambiguous(a) == self_product_unambiguous(a)
-
-
-@SETTINGS
 @given(dfas())
 def test_deterministic_automata_are_unambiguous(a):
-    assert is_unambiguous(a)
+    assert _deterministic(a)
     assert self_product_unambiguous(a)
 
 
 @SETTINGS
-@given(ppas(), nfas(), st.sampled_from(["model", "unit"]))
-def test_pa_product_matches_ppa_construction(p, a, final_weights):
-    got = product_pa_nfa(p, a, final_weights)
-    want, pair_map = ppa_product(p, a, final_weights)
+@given(ppas(), nfas())
+def test_pa_product_matches_ppa_construction(p, a):
+    got = product_pa_nfa(p, a)
+    want, pair_map = ppa_product(p, a, trimmed=False)
     assert got.pair_map == pair_map
     assert got.ppa.initial == want.initial
     assert got.ppa.final == want.final

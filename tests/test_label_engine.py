@@ -2,21 +2,26 @@
 
 The engine reads p1, p2, sl1 and sl2 off one determinization and one
 PA x DFA product per component; the oracle in ``util`` runs one language
-probability per final state, final set or state.  Both use the library's
-solver on different products, so they agree to round-off: 1e-12 relative.
-sl3 is a difference, sl2 less the words through q, so its round-off is
-that of the sl2 it is taken from.
+probability per final state, final set or state.  p3 and sl3 take one
+``prob_lang`` of a trimmed through-state acceptor per state, on its DFA;
+their oracle takes the untrimmed acceptor, determinized only when it is
+ambiguous, on a trimmed product.  The two sides solve different products,
+so they agree to round-off: 1e-12 relative.  sl3 is a difference, sl2
+less the words through q, so its round-off is that of the sl2 it is taken
+from.  Every product the labellings and ``distance`` build is on a DFA.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfareduce import components, label_prune, label_selfloop, labels, nfa
+from nfareduce import (components, distance, label_prune, label_selfloop,
+                       labels, langprob, nfa)
 
-from util import BA, nfas, oracle_labels, random_pa
+from util import BA, nfas, oracle_labels, random_pa, trapped_nfas
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -71,3 +76,30 @@ def test_one_determinization_per_component(monkeypatch, kind, variant):
     fn = label_prune if kind == "prune" else label_selfloop
     fn(a, p, variant)
     assert calls == [4, 4]
+
+
+def deterministic(a):
+    return len(a.initial) <= 1 and all(len(dsts) == 1
+                                       for q in range(a.num_states)
+                                       for _sym, dsts in a.moves(q))
+
+
+@SETTINGS
+@given(st.one_of(nfas(), trapped_nfas()), st.one_of(nfas(), trapped_nfas()),
+       pas)
+def test_every_product_is_on_a_dfa(a1, a2, p):
+    operands = []
+    product_pa_nfa = langprob.product_pa_nfa
+
+    def checked(p, a):
+        operands.append(a)
+        return product_pa_nfa(p, a)
+
+    with mock.patch.object(langprob, "product_pa_nfa", checked), \
+            mock.patch.object(labels, "product_pa_nfa", checked):
+        for variant in (1, 2, 3):
+            label_prune(a1, p, variant)
+            label_selfloop(a1, p, variant)
+        distance(a1, a2, p)
+    assert operands
+    assert all(deterministic(a) for a in operands)

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from nfareduce import (Nfa, is_unambiguous, label_prune, label_selfloop,
-                       make_p_exp, word_prob, word_weight)
+from nfareduce import (Nfa, label_prune, label_selfloop, make_p_exp,
+                       word_prob, word_weight)
 
 from util import (AB, a2, banguage_nfa, bf_prob_lang, lang_upto,
-                  oracle_labels, random_nfa, random_pa, words_upto)
+                  oracle_labels, random_nfa, random_pa,
+                  self_product_unambiguous, words_upto)
 
 
 class TestWorkedExamples:
@@ -23,7 +24,7 @@ class TestWorkedExamples:
 
     def test_prune_variant2_equals_variant1_unambiguous(self):
         a = a2()
-        assert is_unambiguous(a)
+        assert self_product_unambiguous(a)
         lab2 = label_prune(a, make_p_exp(AB), 2)
         assert lab2[0] == pytest.approx(4 / 27, abs=1e-12)
 
@@ -67,7 +68,7 @@ class TestChains:
         while checked < 15:
             p = random_pa(rng)
             a = random_nfa(rng, alphabet=p.alphabet)
-            if not is_unambiguous(a):
+            if not self_product_unambiguous(a):
                 continue
             checked += 1
             l1 = label_prune(a, p, 1)

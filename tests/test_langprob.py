@@ -1,15 +1,17 @@
-"""The numeric kernel: PA x NFA products, language probability and weight,
-and the brute-force oracle they are checked against."""
+"""The numeric kernel: PA x NFA products and language probability; the
+language weight oracle; and the brute-force oracle they are checked
+against."""
 
 import random
 
 import pytest
 
 from nfareduce import (Nfa, determinize, make_p_exp, prob_lang, product_pa_nfa,
-                       restrict, union, weight_lang)
+                       restrict, union)
 from nfareduce.errors import AlphabetMismatchError
 
-from util import AB, bf_prob_lang, naive_lang_prob, random_nfa, random_pa
+from util import (AB, bf_prob_lang, naive_lang_prob, random_nfa, random_pa,
+                  weight_lang)
 
 
 def universal(alphabet=AB):
@@ -45,9 +47,14 @@ class TestProductPaNfa:
         assert mass * r.ppa.final[2] == pytest.approx((1 / 3) ** 3, abs=1e-15)
 
     def test_empty_language(self):
+        # the product is not trimmed: its one pair stays, with no final
+        # weight
         p = make_p_exp(AB)
         dead = Nfa(1, AB, [], [0], [])
-        assert product_pa_nfa(p, dead).ppa.num_states == 0
+        r = product_pa_nfa(p, dead)
+        assert r.pair_map == ((0, 0),)
+        assert r.ppa.initial == (1.0,) and r.ppa.final == (0.0,)
+        assert prob_lang(p, dead) == 0.0
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):

@@ -1,11 +1,11 @@
 """The direct solves and the one-solve distance against 40-digit mpmath
 references, on random small automata and models.
 
-``prob_lang`` and ``weight_lang`` are held to an mpmath solve of the
-product with the determinized automaton, on the dense and on the sparse
-path.  ``distance`` solves once on the symmetric-difference DFA; it is held
-to inclusion-exclusion carried out in mpmath, where the cancellation costs
-no float digits.
+``prob_lang`` is held to an mpmath solve of the product with the
+determinized automaton, on the dense and on the sparse path, and so is the
+``weight_lang`` oracle of ``util``.  ``distance`` solves once on the
+symmetric-difference DFA; it is held to inclusion-exclusion carried out in
+mpmath, where the cancellation costs no float digits.
 """
 
 import os
@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 
 import nfareduce
 from nfareduce import (Nfa, Pa, accepts, determinize_with_subsets, distance,
-                       prob_lang, union, weight_lang)
+                       prob_lang, union)
 from nfareduce import langprob
 from nfareduce.nfa import _accept_all, _symmetric_difference
 
-from util import BA, mp_distance, mp_lang, nfas, trapped_nfas, words_upto
+from util import (BA, mp_distance, mp_lang, nfas, trapped_nfas, weight_lang,
+                  words_upto)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -67,13 +68,12 @@ def pas(draw):
 @given(pas(), LIVE_NFAS)
 def test_prob_and_weight_match_mpmath(p, a):
     want_prob = float(mp_lang(p, a))
-    want_weight = float(mp_lang(p, a, "unit"))
     for limit in (langprob.DENSE_SOLVE_LIMIT, 0):
         with mock.patch.object(langprob, "DENSE_SOLVE_LIMIT", limit):
             assert prob_lang(p, a) == pytest.approx(want_prob, rel=1e-12,
                                                     abs=0.0)
-            assert weight_lang(p, a) == pytest.approx(want_weight,
-                                                      rel=1e-12, abs=0.0)
+    assert weight_lang(p, a) == pytest.approx(float(mp_lang(p, a, "unit")),
+                                              rel=1e-12, abs=0.0)
 
 
 @SETTINGS

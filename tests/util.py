@@ -2,11 +2,14 @@
 
 - Hand automata and random instance generators, plain and ``hypothesis``.
 - Constructions the library does not need, built through ``Nfa(...)``
-  with every transition checked: the product automaton and the
-  back-language acceptor.
+  with every transition checked: the product automaton, the
+  back-language acceptor and the untrimmed through-state acceptor.
 - Brute-force oracles kept independent of the library's solver pipeline:
   word enumeration (``bf_prob_lang``, ``naive_lang_prob``), fixed-point
   reachability, and 40-digit mpmath solves of the library's products.
+- Language values by the route of an ambiguity check: determinize only
+  an ambiguous automaton, then solve on the trimmed PA x NFA product
+  (``lang_value``, ``weight_lang``).
 - The per-state label pipelines the labelling engine is held to, and the
   per-word event counts the lockstep ``count_events`` is held to.
 """
@@ -18,10 +21,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nfareduce import (Nfa, Pa, Ppa, accepts, components,
-                       determinize_with_subsets, prob_lang, product_pa_nfa,
-                       reach, restrict_with_map, self_loop, through_state,
-                       trim, trim_survivors, union, validate_pa, weight_lang,
-                       word_prob)
+                       determinize_with_subsets, prob_lang, reach,
+                       restrict_with_map, self_loop, trim, trim_survivors,
+                       union, validate_pa, word_prob)
 from nfareduce.nfa import _closure, _explore
 
 ABC = ("a", "b", "c")
@@ -142,9 +144,28 @@ def self_product_unambiguous(a):
     return all(pairs[i][0] == pairs[i][1] for i in trim_survivors(prod))
 
 
-def ppa_product(p, a, final_weights="model"):
-    """The PA x NFA product built as a ``Ppa`` transition by transition;
-    returns (ppa, pair_map)."""
+def through_state(a, q):
+    """Acceptor of the words with an accepting run through ``q``: the
+    (state, flag) pairs reachable from the initial states, the flag turning
+    1 on entering ``q``, final where the flag is 1 at a final state.  It
+    is not trimmed."""
+    def step(node):
+        s, flag = node
+        for sym, dsts in a.moves(s):
+            for d in dsts:
+                yield sym, (d, 1 if (flag or d == q) else 0)
+
+    starts = [(i, 1 if i == q else 0) for i in sorted(a.initial)]
+    nodes, edges = _explore(starts, step)
+    return Nfa(len(nodes), a.alphabet, edges, range(len(starts)),
+               [i for i, (s, flag) in enumerate(nodes)
+                if flag and s in a.final])
+
+
+def ppa_product(p, a, final_weights="model", trimmed=True):
+    """The PA x NFA product built as a ``Ppa`` transition by transition,
+    over the pairs reachable from the initial pairs and, if ``trimmed``,
+    able to reach a final pair; returns (ppa, pair_map)."""
     def step(pair):
         qp, qa = pair
         for sym, dsts in a.moves(qa):
@@ -163,11 +184,13 @@ def ppa_product(p, a, final_weights="model"):
             return False
         return True if final_weights == "unit" else p.final[qp] > 0.0
 
-    rev = {}
-    for i, _label, j in edges:
-        rev.setdefault(j, []).append(i)
-    alive = _closure([i for i, pair in enumerate(pairs) if is_final(pair)],
-                     lambda j: rev.get(j, ()))
+    alive = range(len(pairs))
+    if trimmed:
+        rev = {}
+        for i, _label, j in edges:
+            rev.setdefault(j, []).append(i)
+        alive = _closure([i for i, pair in enumerate(pairs)
+                          if is_final(pair)], lambda j: rev.get(j, ()))
 
     kept = [i for i in range(len(pairs)) if i in alive]
     pos = {old: new for new, old in enumerate(kept)}
@@ -183,6 +206,35 @@ def ppa_product(p, a, final_weights="model"):
     trans = [(pos[i], sym, pos[j], w) for i, (sym, w), j in edges
              if i in alive and j in alive]
     return Ppa(a.alphabet, initial, final, trans), kept_pairs
+
+
+def ppa_star(ppa):
+    """initial . (I - E)^-1 . final of a ``Ppa``, by one dense numpy
+    solve."""
+    n = ppa.num_states
+    if n == 0:
+        return 0.0
+    m = np.eye(n)
+    for src, _sym, dst, w in ppa.entries():
+        m[src, dst] -= w
+    return float(np.array(ppa.initial)
+                 @ np.linalg.solve(m, np.array(ppa.final)))
+
+
+def lang_value(p, a, final_weights="model"):
+    """Probability (or, with ``final_weights="unit"``, weight) of L(a):
+    ``a`` is determinized only when the self-product shows it ambiguous,
+    then solved on the trimmed PA x NFA product, which is nonsingular for
+    an unambiguous automaton."""
+    if not self_product_unambiguous(a):
+        a = determinize_with_subsets(a)[0]
+    return ppa_star(ppa_product(p, a, final_weights)[0])
+
+
+def weight_lang(p, a):
+    """Total weight of L(a) under ``p``: the sum over its words of the
+    PA weight without the final weight.  May exceed 1."""
+    return lang_value(p, a, "unit")
 
 
 def mp_solve(n, rows, cols, weight, rhs):
@@ -230,10 +282,16 @@ def mp_solve_y(r):
 
 def mp_lang(p, a, final_weights="model"):
     """Reference probability (or, with ``final_weights="unit"``, weight)
-    of L(a): the MP_DPS-digit solve on the product with the exact subset
-    construction of a, which absorbs no accept-all state."""
-    return mp_solve_star(product_pa_nfa(p, determinize_with_subsets(a)[0],
-                                        final_weights))
+    of L(a): the MP_DPS-digit solve on the trimmed ``ppa_product`` with
+    the exact subset construction of a, which absorbs no accept-all
+    state."""
+    ppa, _ = ppa_product(p, determinize_with_subsets(a)[0], final_weights)
+    entries = list(ppa.entries())
+    with mpmath.workdps(MP_DPS):
+        x = mp_solve(ppa.num_states, [e[0] for e in entries],
+                     [e[2] for e in entries], [e[3] for e in entries],
+                     ppa.final)
+        return mpmath.fsum(w * x[i] for i, w in enumerate(ppa.initial))
 
 
 def mp_distance(p, a1, a2):
@@ -260,7 +318,8 @@ def prefix_universal(a, q):
 
 def oracle_prune_labels(sub, p, variant):
     """Pruning labels of one (sub-)automaton, state by state: one
-    ``prob_lang`` per final state, per reachable final set or per state."""
+    ``prob_lang`` per final state or per reachable final set, or one
+    ``lang_value`` of the words through each state."""
     n = sub.num_states
     reach_final = [reach(sub, [q]) & sub.final for q in range(n)]
     if variant == 1:
@@ -271,20 +330,21 @@ def oracle_prune_labels(sub, p, variant):
     if variant == 2:
         return [prob_lang(p, banguage_nfa(sub, key)) if key else 0.0
                 for key in reach_final]
-    return [prob_lang(p, through_state(sub, q)) for q in range(n)]
+    return [lang_value(p, through_state(sub, q)) for q in range(n)]
 
 
 def oracle_selfloop_labels(sub, p, variant):
     """Self-loop labels of one (sub-)automaton, state by state: one
     ``weight_lang`` of the back-language, or one ``prob_lang`` of the
-    back-language followed by Sigma*, less the words through q."""
+    back-language followed by Sigma*, less the ``lang_value`` of the words
+    through q."""
     n = sub.num_states
     if variant == 1:
         return [weight_lang(p, banguage_nfa(sub, [q])) for q in range(n)]
     lab2 = [prob_lang(p, prefix_universal(sub, q)) for q in range(n)]
     if variant == 2:
         return lab2
-    return [max(lab2[q] - prob_lang(p, through_state(sub, q)), 0.0)
+    return [max(lab2[q] - lang_value(p, through_state(sub, q)), 0.0)
             for q in range(n)]
 
 
