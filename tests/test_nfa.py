@@ -10,6 +10,7 @@ from nfareduce import (Nfa, Pa, accepts, components, determinize,
                        restrict, self_loop, serialize_nfa, through_state,
                        trim, trim_survivors, union)
 from nfareduce.errors import AlphabetMismatchError, DeterminizationCapError
+from nfareduce.langprob import _deterministic
 from nfareduce.nfa import _absorbing, _accept_all
 
 from util import (AB, ABC, BA, a2, banguage_nfa, canon_dfa, lang_upto, nfas,
@@ -180,6 +181,16 @@ class TestUnionProduct:
             for w in words_upto(x.alphabet, 6):
                 assert accepts(prod, w) == (accepts(x, w) and accepts(y, w))
                 assert accepts(uni, w) == (accepts(x, w) or accepts(y, w))
+
+
+class TestAmbiguity:
+    def test_two_runs(self):
+        a = Nfa(3, AB, [(0, "a", 1), (0, "a", 2)], [0], [1, 2])
+        assert not self_product_unambiguous(a)
+        assert not _deterministic(a)
+        d = determinize(a)
+        assert _deterministic(d)
+        assert self_product_unambiguous(d)
 
 
 class TestDeterminize:
