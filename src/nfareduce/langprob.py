@@ -18,8 +18,8 @@ every Schur complement an M-matrix.  scipy is imported only when a product
 exceeds the dense limit: loading scipy.sparse costs a run more start-up
 time and resident memory than its dense solves do.
 
-The labelling engine (``labels``) takes y itself (``_solve_y``), on the
-same product with a component's DFA.
+The labellings (``labels``) take y itself (``_solve_y``), on the product
+with a component's DFA or with a state's first-hit DFA.
 """
 
 from dataclasses import dataclass
@@ -113,10 +113,10 @@ def _solve(n, rows, cols, weight, rhs):
     entries summed at (``rows``, ``cols``): dense LU up to
     ``DENSE_SOLVE_LIMIT`` unknowns, sparse LU with diagonal pivots beyond.
 
-    Every M here is a PA x DFA product's E (transposed for y, or lumped
-    for an absorbing solve in ``labels``) or the PA's own transition
-    matrix: nonnegative, with rows (or columns) summing to at most 1 and
-    spectral radius below 1, as the module's pivoting argument needs.
+    Every M here is a PA x DFA product's E, transposed for y, or the PA's
+    own transition matrix: nonnegative, with rows (or columns) summing to
+    at most 1 and spectral radius below 1, as the module's pivoting
+    argument needs.
     """
     try:
         if n <= DENSE_SOLVE_LIMIT:

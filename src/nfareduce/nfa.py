@@ -11,9 +11,9 @@ mutate their inputs, which makes them safe to share across threads.
 Every construction that builds a new automaton is one breadth-first
 worklist (``_explore``) over the per-state transition store, and every
 reachability question is one closure (``_closure``).  The outputs of the
-subset construction and of ``through_state`` are valid by construction, so
-they fill the store directly (``_built``) instead of re-validating every
-transition in ``Nfa.__init__``.
+subset construction, ``through_state`` and ``first_hit`` are valid by
+construction, so they fill the store directly (``_built``) instead of
+re-validating every transition in ``Nfa.__init__``.
 """
 
 from .errors import AlphabetMismatchError, DeterminizationCapError
@@ -479,6 +479,43 @@ def through_state(a, q):
              if flag and s in a.final]
     return Nfa._built(len(nodes), a, _store(edges), range(len(starts)),
                       final)
+
+
+def first_hit(a, q, cap=DEFAULT_DET_CAP):
+    """DFA of the words that reach ``q`` and have no proper prefix that
+    does: each word with a prefix in q's back-language has exactly one
+    such prefix.
+
+    It is the subset construction of q's back-language acceptor (the
+    states that can reach q, with q final and without moves), in which a
+    subset that holds q is final and stops: it has no moves, whatever else
+    it holds.  That is not a ``cut`` to {q}, which ``_subset_step`` would
+    apply only after a move into an accept-all state.  Raises
+    DeterminizationCapError when more than ``cap`` subsets appear.
+    """
+    a._check_state(q)
+    to_q = coreach(a, [q])
+
+    def back(s):
+        if s != q:
+            for sym, dsts in a.moves(s):
+                for d in dsts:
+                    if d in to_q:
+                        yield sym, d
+
+    starts = sorted(a.initial & to_q)
+    nodes, edges = _explore(starts, back)
+    # every start can reach q, so q is a node when there is a start
+    acceptor = Nfa._built(len(nodes), a, _store(edges), range(len(starts)),
+                          [nodes.index(q)] if nodes else ())
+    step = _subset_step(acceptor)
+
+    def stop(s):
+        return step(s) if acceptor.final.isdisjoint(s) else ()
+
+    subsets, edges = _explore([frozenset(acceptor.initial)], stop, cap)
+    final = [i for i, s in enumerate(subsets) if s & acceptor.final]
+    return Nfa._built(len(subsets), a, _store(edges), [0], final)
 
 
 def accepts(a, word):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .labels import label_prune, label_selfloop
 from .langprob import prob_lang
 from .nfa import (DEFAULT_DET_CAP, Nfa, _check_states, _closure,
-                  _predecessors, _symmetric_difference, restrict, self_loop)
+                  _predecessors, _symmetric_difference, restrict,
+                  same_alphabet, self_loop)
 
 KINDS = ("prune", "selfloop")
 MODES = ("size", "error")
@@ -193,6 +194,7 @@ def greedy_size_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
     """
     if cfg.mode != "size":
         raise ValueError("config mode must be 'size'")
+    same_alphabet(p, a)
     n = int(cfg.param)
     if a.num_states <= n:
         return ReductionReport(a, 0.0, frozenset(), a.num_states,
@@ -218,6 +220,7 @@ def greedy_error_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
     early exit."""
     if cfg.mode != "error":
         raise ValueError("config mode must be 'error'")
+    same_alphabet(p, a)
     budget = float(cfg.param)
 
     t0 = time.perf_counter()

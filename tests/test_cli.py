@@ -57,6 +57,34 @@ q0 b q0 0.25
 q0 c q0 0.25
 """
 
+# Sigma*aab | Sigma*bba | Sigma*abb, one chain per rule: the component
+# DFA has 9 subsets, every first-hit DFA at most 4, and the through-state
+# DFA of state 0 (the whole language) 9
+SIGMA_AB_RULES_FA = """\
+%Alphabet a b
+%Initial 0
+0 a 0
+0 b 0
+0 a 1
+1 a 2
+2 b 3
+0 b 4
+4 b 5
+5 a 6
+0 a 7
+7 b 8
+8 b 9
+%Final 3 6 9
+"""
+
+CD_PA = """\
+%Alphabet c d
+%Initial q0 1
+%Final q0 0.5
+q0 c q0 0.25
+q0 d q0 0.25
+"""
+
 SELFLOOP_TO_3 = """\
 %Alphabet a b
 %Initial 0
@@ -206,6 +234,17 @@ class TestReduce:
         assert float(report["exact_distance"]) == pytest.approx(
             want, rel=1e-12, abs=0.0)
 
+    def test_size_mode_alphabet_mismatch_exit_2(self, tmp_path, capsys):
+        # a zero-state input is within any bound, and is checked all the same
+        fa = tmp_path / "zero.fa"
+        fa.write_text("%Alphabet a b\n")
+        pa = tmp_path / "cd.pa"
+        pa.write_text(CD_PA)
+        assert main(["reduce", "--type", "prune", "--label", "1",
+                     "--mode", "size", "--param", "5",
+                     "--input", str(fa), "--model", str(pa)]) == 2
+        assert capsys.readouterr().err.startswith("error: alphabets differ")
+
     def test_manifest(self, files, capsys):
         tmp, fa, pa = files
         manifest = tmp / "run.json"
@@ -300,8 +339,8 @@ class TestLabel:
                                                ("selfloop", "2")])
     def test_label_det_cap_exit_3(self, files, tmp_path, capsys, kind,
                                   variant):
-        # these labels determinize each component once, here into 2
-        # subsets, and need no other determinization
+        # p1, p2 and sl1 determinize each component once, here into 2
+        # subsets; sl2 builds each state's first-hit DFA, of at most 2
         _, _, pa = files
         ambiguous = tmp_path / "amb.fa"
         ambiguous.write_text(
@@ -336,6 +375,45 @@ class TestLabel:
         assert main(argv + ["--det-cap", "1000"]) == 0
         assert capsys.readouterr().out == "".join(
             f"{q}\t0.029263831732967517\n" for q in range(8))
+
+    @pytest.mark.parametrize("variant, rc", [("1", 3), ("2", 0), ("3", 3)])
+    def test_selfloop_det_cap_bounds_first_hit_dfas(self, files, tmp_path,
+                                                    capsys, variant, rc):
+        # sl2 determinizes no component: its first-hit DFAs fit a cap of 4,
+        # while sl1's component DFA and sl3's through-state DFA of state 0
+        # have 9 subsets
+        _, _, pa = files
+        fa = tmp_path / "rules.fa"
+        fa.write_text(SIGMA_AB_RULES_FA)
+        assert main(["label", "--type", "selfloop", "--label", variant,
+                     "--input", str(fa), "--model", pa,
+                     "--det-cap", "4"]) == rc
+        captured = capsys.readouterr()
+        if rc == 0:
+            rows = [line.split("\t") for line in captured.out.splitlines()]
+            assert [int(r[0]) for r in rows] == list(range(10))
+            assert captured.err == ""
+        else:
+            assert captured.out == ""
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("resource cap: ")
+
+    @pytest.mark.parametrize("fa_text", ["%Alphabet a b\n",
+                                         "%Alphabet a b\n%Final 0\n"
+                                         "0 a 1\n1 b 0\n"],
+                             ids=["zero_states", "no_initial"])
+    @pytest.mark.parametrize("kind", ["prune", "selfloop"])
+    @pytest.mark.parametrize("variant", ["1", "2", "3"])
+    def test_alphabet_mismatch_without_product_exit_2(self, tmp_path, capsys,
+                                                      fa_text, kind, variant):
+        # no product is built here, so the alphabets are checked up front
+        fa = tmp_path / "a.fa"
+        fa.write_text(fa_text)
+        pa = tmp_path / "cd.pa"
+        pa.write_text(CD_PA)
+        assert main(["label", "--type", kind, "--label", variant,
+                     "--input", str(fa), "--model", str(pa)]) == 2
+        assert capsys.readouterr().err.startswith("error: alphabets differ")
 
     def test_manifest_records_det_cap(self, files, capsys):
         tmp, fa, pa = files

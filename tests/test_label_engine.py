@@ -1,14 +1,16 @@
-"""The labelling engine against the per-state oracle it replaces.
+"""The labellings against the per-state oracle they replace.
 
-The engine reads p1, p2, sl1 and sl2 off one determinization and one
-PA x DFA product per component; the oracle in ``util`` runs one language
-probability per final state, final set or state.  p3 and sl3 take one
-``prob_lang`` of a trimmed through-state acceptor per state, on its DFA;
-their oracle takes the untrimmed acceptor, determinized only when it is
-ambiguous, on a trimmed product.  The two sides solve different products,
-so they agree to round-off: 1e-12 relative.  sl3 is a difference, sl2
-less the words through q, so its round-off is that of the sl2 it is taken
-from.  Every product the labellings and ``distance`` build is on a DFA.
+The labelling engine reads p1, p2 and sl1 off one determinization and one
+PA x DFA product per component; sl2 takes, per state, the product of its
+first-hit DFA, on which the subsets that hold the state stop.  p3 and sl3
+take one ``prob_lang`` of a trimmed through-state acceptor per state, on
+its DFA; sl3 is sl2 less that.  The oracle in ``util`` runs one language
+probability per final state, final set or state; for p3 and sl3 it takes
+the untrimmed acceptor, determinized only when it is ambiguous, on a
+trimmed product.  The two sides solve different products, so they agree
+to round-off: 1e-12 relative.  sl3 is a difference, sl2 less the words
+through q, so its round-off is that of the sl2 it is taken from.  Every
+product the labellings and ``distance`` build is on a DFA.
 """
 
 import random
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfareduce import (components, distance, label_prune, label_selfloop,
-                       labels, langprob, nfa)
+                       labels, langprob, nfa, restrict, through_state)
 
 from util import BA, nfas, oracle_labels, random_pa, trapped_nfas
 
@@ -40,7 +42,7 @@ def test_prune_labels_match_oracle(a, p):
 
 
 @SETTINGS
-@given(nfas(), pas)
+@given(st.one_of(nfas(), trapped_nfas()), pas)
 def test_selfloop_labels_match_oracle(a, p):
     for variant in (1, 2):
         got = label_selfloop(a, p, variant).values
@@ -53,29 +55,60 @@ def test_selfloop_labels_match_oracle(a, p):
         assert x == pytest.approx(y, rel=1e-12, abs=1e-12 * sl2[q])
 
 
-@pytest.mark.parametrize("kind, variant", [("prune", 1), ("prune", 2),
-                                           ("selfloop", 1), ("selfloop", 2)])
-def test_one_determinization_per_component(monkeypatch, kind, variant):
+def record_determinizations(monkeypatch):
+    """The automata handed to ``determinize_with_subsets`` at every
+    binding (the engine's, and the one behind ``nfa.determinize``), each
+    with whether it came with a ``cut``, as the language-only
+    determinization passes one."""
     calls = []
     determinize_with_subsets = nfa.determinize_with_subsets
 
-    def counted(a, cap=nfa.DEFAULT_DET_CAP):
-        calls.append(a.num_states)
-        return determinize_with_subsets(a, cap)
+    def recorded(a, cap=nfa.DEFAULT_DET_CAP, **kw):
+        calls.append((a, "cut" in kw))
+        return determinize_with_subsets(a, cap, **kw)
 
-    # every binding: the engine's, and the one behind nfa.determinize
     for module in (nfa, labels):
-        monkeypatch.setattr(module, "determinize_with_subsets", counted)
-    rng = random.Random(7)
-    p = random_pa(rng, max_states=3, alphabet=BA)
-    a = nfa.union(*(nfa.trim(nfa.Nfa(4, BA, [(0, "a", 1), (0, "a", 2),
-                                              (1, "b", 3), (2, "b", 3),
-                                              (3, s, 0)], [0], [3]))
-                    for s in BA))
-    assert len(components(a)) == 2
+        monkeypatch.setattr(module, "determinize_with_subsets", recorded)
+    return calls
+
+
+def two_components():
+    """Two 4-state components over BA, each ambiguous (two runs on ab)."""
+    return nfa.union(*(nfa.trim(nfa.Nfa(4, BA, [(0, "a", 1), (0, "a", 2),
+                                                 (1, "b", 3), (2, "b", 3),
+                                                 (3, s, 0)], [0], [3]))
+                       for s in BA))
+
+
+@pytest.mark.parametrize("kind, variant", [("prune", 1), ("prune", 2),
+                                           ("selfloop", 1)])
+def test_one_determinization_per_component(monkeypatch, kind, variant):
+    calls = record_determinizations(monkeypatch)
+    p = random_pa(random.Random(7), max_states=3, alphabet=BA)
+    a = two_components()
+    subs = [restrict(a, comp) for comp in components(a)]
+    assert len(subs) == 2
     fn = label_prune if kind == "prune" else label_selfloop
     fn(a, p, variant)
-    assert calls == [4, 4]
+    assert calls == [(sub, False) for sub in subs]
+
+
+@pytest.mark.parametrize("variant", [2, 3])
+def test_selfloop_runs_no_engine(monkeypatch, variant):
+    # sl2 builds each state's first-hit DFA by its own subset construction
+    # and determinizes nothing; sl3 adds p3's language-only
+    # determinizations, one per through-state acceptor.  The acceptor of
+    # an initial state accepts its component's whole language, so that
+    # one can be as large as the component's DFA.
+    calls = record_determinizations(monkeypatch)
+    p = random_pa(random.Random(7), max_states=3, alphabet=BA)
+    a = two_components()
+    label_selfloop(a, p, variant)
+    acceptors = [through_state(sub, q)
+                 for sub in (restrict(a, comp) for comp in components(a))
+                 for q in range(sub.num_states)]
+    assert len(calls) == (0 if variant == 2 else 8)
+    assert all(cut and any(b == t for t in acceptors) for b, cut in calls)
 
 
 def deterministic(a):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nfareduce import (Nfa, Pa, accepts, components, determinize,
                        determinize_with_subsets, product_pa_nfa, reach,
@@ -11,7 +12,7 @@ from nfareduce import (Nfa, Pa, accepts, components, determinize,
                        trim, trim_survivors, union)
 from nfareduce.errors import AlphabetMismatchError, DeterminizationCapError
 from nfareduce.langprob import _deterministic
-from nfareduce.nfa import _absorbing, _accept_all
+from nfareduce.nfa import _absorbing, _accept_all, first_hit
 
 from util import (AB, ABC, BA, a2, banguage_nfa, canon_dfa, lang_upto, nfas,
                   product, random_nfa, self_product_unambiguous, trapped_nfas,
@@ -284,6 +285,40 @@ class TestThroughState:
             want = {u + v for u in back for v in fwd if len(u) + len(v) <= 4}
             assert {w for w in lang_upto(ts, 4)} == want
             assert trim_survivors(ts) == frozenset(range(ts.num_states))
+
+
+class TestFirstHit:
+    @SETTINGS
+    @given(st.one_of(nfas(), trapped_nfas()), st.data())
+    def test_shortest_prefixes_of_the_back_language(self, a, data):
+        # the words of q's back-language none of whose proper prefixes is
+        # one; a subset that holds q stops, whatever else it holds
+        assume(a.num_states > 0)
+        q = data.draw(st.integers(0, a.num_states - 1))
+        fh = first_hit(a, q)
+        assert _deterministic(fh)
+        assert all(not fh.moves(f) for f in fh.final)
+        back = lang_upto(banguage_nfa(a, [q]), 5)
+        assert lang_upto(fh, 5) == {
+            w for w in back if not any(w[:i] in back for i in range(len(w)))}
+
+    def test_worked_example(self):
+        # Sigma* a b with q the end of ab: the subsets {0}, {0, 1} and
+        # {0, 2}, where the last one stops
+        a = Nfa(3, AB, [(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "b", 2)],
+                [0], [2])
+        fh = first_hit(a, 2)
+        assert fh.num_states == 3 and len(fh.final) == 1
+        assert lang_upto(fh, 4) == {tuple(w) for w in ("ab", "aab", "bab",
+                                                       "aaab", "baab", "bbab")}
+        assert lang_upto(first_hit(a, 0), 4) == {()}
+
+    def test_cap(self):
+        a = Nfa(3, AB, [(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "b", 2)],
+                [0], [2])
+        assert first_hit(a, 2, cap=3).num_states == 3
+        with pytest.raises(DeterminizationCapError):
+            first_hit(a, 2, cap=2)
 
 
 class TestBanguageAccepts:

@@ -8,15 +8,13 @@ not taken on trust: every solve behind them, the value and each entry of
 its vector y, is also held to a 40-digit mpmath solve of the same product.
 """
 
-import mpmath
 import pytest
 
 from nfareduce import (Nfa, Pa, distance, label_prune, label_selfloop,
                        prob_lang, reduce_prune, validate_pa)
 from nfareduce import labels, langprob
 
-from util import (MP_DPS, mp_solve, mp_solve_star, mp_solve_y,
-                  self_product_unambiguous)
+from util import mp_solve_star, mp_solve_y, self_product_unambiguous
 
 ABC = ("a", "b", "c")
 
@@ -96,10 +94,11 @@ SPARSE = {
 }
 
 # solves behind the values above, on either path: language solves on a
-# product, one y per component DFA product, and the labelling engine's
-# absorbing sl2 solves
+# product, one y per component DFA product (p1, p2 and sl1), and one y per
+# state's first-hit DFA product, whose subsets that hold the state absorb
+# (sl2, and sl2 again under sl3)
 SOLVES = 16
-DFA_PRODUCTS = 5
+DFA_PRODUCTS = 3
 ABSORBING = 14
 
 
@@ -122,10 +121,9 @@ def record(monkeypatch, name, log, modules):
                          ids=["dense", "sparse"])
 def test_values_bit_for_bit(monkeypatch, limit, want):
     monkeypatch.setattr(langprob, "DENSE_SOLVE_LIMIT", limit)
-    stars, ys, absorbing = [], [], []
+    stars, ys = [], []
     record(monkeypatch, "_solve_star", stars, (langprob,))
     record(monkeypatch, "_solve_y", ys, (langprob, labels))
-    record(monkeypatch, "_solve", absorbing, (labels,))
     a, p = rules(), model()
     assert validate_pa(p) == []
     assert not self_product_unambiguous(a)
@@ -135,18 +133,13 @@ def test_values_bit_for_bit(monkeypatch, limit, want):
         for variant in (1, 2, 3):
             values = fn(a, p, variant).values
             assert tuple(x.hex() for x in values) == want[f"{kind}{variant}"]
-    # a y solve behind each language solve, and one per DFA product
-    assert (len(stars), len(ys), len(absorbing)) == (
-        SOLVES, SOLVES + DFA_PRODUCTS, ABSORBING)
+    # a y solve behind each language solve, each component DFA product
+    # and each first-hit DFA product
+    assert (len(stars), len(ys)) == (SOLVES,
+                                     SOLVES + DFA_PRODUCTS + ABSORBING)
     for (r,), value in stars:
         assert value == pytest.approx(float(mp_solve_star(r)), rel=1e-12,
                                       abs=0.0)
     for (r,), y in ys:
         assert y.tolist() == pytest.approx(
             [float(v) for v in mp_solve_y(r)], rel=1e-12, abs=0.0)
-    for (n, rows, cols, weight, rhs), x in absorbing:
-        with mpmath.workdps(MP_DPS):
-            want = mp_solve(n, rows.tolist(), cols.tolist(), weight.tolist(),
-                            rhs.tolist())
-        assert x.tolist() == pytest.approx([float(v) for v in want],
-                                           rel=1e-12, abs=0.0)

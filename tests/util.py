@@ -10,7 +10,9 @@
 - Language values by the route of an ambiguity check: determinize only
   an ambiguous automaton, then solve on the trimmed PA x NFA product
   (``lang_value``, ``weight_lang``).
-- The per-state label pipelines the labelling engine is held to, and the
+- The per-state label pipelines the six labellings are held to (one
+  language probability per final state, final set or state; sl2 on a
+  ``prefix_universal`` acceptor rather than a first-hit DFA), and the
   per-word event counts the lockstep ``count_events`` is held to.
 """
 
