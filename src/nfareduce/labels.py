@@ -27,8 +27,9 @@ The other three labels take small DFAs built per state, each under
 ``det_cap``:
 
 - sl2(q) sums the y of the product with q's first-hit DFA (``first_hit``,
-  on which a subset that holds q stops) over the pairs whose subset holds
-  q, weighted by each PA state's continuation mass (I - T)^-1 . final;
+  in which every subset that holds q becomes {q} and stops) over the
+  pairs on {q}, weighted by each PA state's continuation mass
+  (I - T)^-1 . final;
 - p3(q) and the subtrahend of sl3(q) are the words with an accepting run
   through q, which a subset does not tell: one ``prob_lang`` of
   ``through_state``, which determinizes that state's acceptor.
@@ -73,7 +74,7 @@ class _Engine:
     """One component's DFA and its PA x DFA product, solved once.
 
     The subsets are exact (``determinize_with_subsets``): the labels read
-    which states each one holds, so no accept-all state is absorbed.
+    which states each one holds, so it passes no traps.
 
     ``weight[i]`` and ``prob[i]`` are the y . 1 and y . final of the pairs
     on DFA state ``i``; ``holding[q]`` lists, ascending, the DFA states
@@ -105,14 +106,16 @@ class _Engine:
 
 def _first_hit_prob(sub, p, q, z, det_cap):
     """Probability of the words with a prefix that reaches ``q``: the y of
-    the PA x DFA product of q's first-hit DFA, on the pairs whose subset
-    holds q, weighted by the continuation mass z of their PA state."""
+    the PA x DFA product of q's first-hit DFA, on the pairs of its one
+    final state {q}, weighted by the continuation mass z of their PA
+    state."""
     dfa = first_hit(sub, q, det_cap)
     if not dfa.final:
         return 0.0
+    (final,) = dfa.final
     r = product_pa_nfa(p, dfa)
     pa_of, dfa_of = np.array(r.pair_map, dtype=np.intp).reshape(-1, 2).T
-    hit = np.isin(dfa_of, sorted(dfa.final))
+    hit = dfa_of == final
     return _as_prob(float(_solve_y(r)[hit] @ z[pa_of[hit]]))
 
 

@@ -10,10 +10,12 @@ mutate their inputs, which makes them safe to share across threads.
 
 Every construction that builds a new automaton is one breadth-first
 worklist (``_explore``) over the per-state transition store, and every
-reachability question is one closure (``_closure``).  The outputs of the
-subset construction, ``through_state`` and ``first_hit`` are valid by
-construction, so they fill the store directly (``_built``) instead of
-re-validating every transition in ``Nfa.__init__``.
+reachability question is one closure (``_closure``).  Every subset
+construction steps subsets with ``_subset_step``, whose one trap rule
+turns a subset that holds a trap into the smallest trap alone.  The
+outputs of the subset construction, ``through_state`` and ``first_hit``
+are valid by construction, so they fill the store directly (``_built``)
+instead of re-validating every transition in ``Nfa.__init__``.
 """
 
 from .errors import AlphabetMismatchError, DeterminizationCapError
@@ -306,52 +308,58 @@ def union(a1, a2):
 
 
 def _symmetric_difference(a1, a2, cap=DEFAULT_DET_CAP):
-    """Partial DFA accepting the words in exactly one of L(a1) and L(a2):
-    the subset construction on their union, with a subset final when it
-    holds a final state of one side only.
+    """Partial DFA accepting the words in exactly one of L(a1) and L(a2).
 
-    Where one side's part of a subset holds an accept-all state of that
-    side, the part is cut down to the side's smallest one: either way that
-    side accepts every continuation.  Where both sides' parts hold one, no
-    continuation is in the difference, and the subset is cut to the empty
-    one, which is dropped (or, as the initial subset, has no moves).
-    Raises DeterminizationCapError when more than ``cap`` subsets appear."""
-    u = union(a1, a2)
-    off = a1.num_states
-    sinks1 = _accept_all(a1)
-    sinks2 = frozenset(q + off for q in _accept_all(a2))
-    cut = None
-    if sinks1 or sinks2:
-        side1 = frozenset(range(off))
-        side2 = frozenset(range(off, u.num_states))
-        trap1 = frozenset(sorted(sinks1)[:1])
-        trap2 = frozenset(sorted(sinks2)[:1])
+    Its states are pairs of subsets, one per side, each side stepped by its
+    own subset construction with its accept-all states as traps; a pair is
+    final when one side's subset holds a final state and the other's does
+    not.  A pair where both sides are trapped accepts every continuation on
+    both sides, so none is in the difference, and it is dropped (as the
+    initial pair, it has no moves).  The pairs are numbered as the subsets
+    of the construction on the union of the two automata would be.
+    Raises DeterminizationCapError when more than ``cap`` pairs appear."""
+    alphabet = same_alphabet(a1, a2)
+    traps1, traps2 = _accept_all(a1), _accept_all(a2)
+    step1, step2 = _subset_step(a1, traps1), _subset_step(a2, traps2)
+    trapped = ((_trap(traps1), _trap(traps2)) if traps1 and traps2
+               else None)
 
-        def cut(s):
-            held1 = not sinks1.isdisjoint(s)
-            held2 = not sinks2.isdisjoint(s)
-            if held1 and held2:
-                return _NO_STATES
-            if held1:
-                return s & side2 | trap1
-            if held2:
-                return s & side1 | trap2
-            return s
+    def step(pair):
+        moves1, moves2 = dict(step1(pair[0])), dict(step2(pair[1]))
+        for sym in alphabet:
+            t = moves1.get(sym, _NO_STATES), moves2.get(sym, _NO_STATES)
+            if (t[0] or t[1]) and t != trapped:
+                yield sym, t
 
-    dfa, subsets = determinize_with_subsets(u, cap, cut=cut)
-    final2 = frozenset(q + off for q in a2.final)
-    final = [i for i, s in enumerate(subsets)
-             if bool(s & a1.final) != bool(s & final2)]
-    return Nfa._built(dfa.num_states, dfa, dfa._delta, dfa.initial, final)
+    pairs, edges = _explore([(_start(a1, traps1), _start(a2, traps2))], step,
+                            cap)
+    final = [i for i, (s1, s2) in enumerate(pairs)
+             if bool(s1 & a1.final) != bool(s2 & a2.final)]
+    return Nfa._built(len(pairs), a1, _store(edges), [0], final)
 
 
-def _subset_step(a, cut=None):
+def _trap(traps):
+    """The subset that a subset holding one of ``traps`` becomes."""
+    return frozenset([min(traps)])
+
+
+def _start(a, traps):
+    """The initial subset of ``a`` under ``_subset_step``'s trap rule."""
+    start = frozenset(a.initial)
+    return start if traps.isdisjoint(start) else _trap(traps)
+
+
+def _subset_step(a, traps=_NO_STATES):
     """The subset-successor function of ``a``: it maps a subset of states
     to its (symbol, successor subset) pairs in alphabet order, leaving out
-    the symbols whose successor subset is empty.  With ``cut``, each
-    successor subset s is replaced by ``cut(s)``, and left out when that
-    is empty; ``cut`` must leave a subset without accept-all states as it
-    is."""
+    the symbols whose successor subset is empty.
+
+    A successor subset that holds one of ``traps`` becomes the smallest
+    trap alone.  A trap is a state whose future does not depend on the rest
+    of the subset, so every trap must have the same one: either every trap
+    accepts all words (``_accept_all``), which keeps the language, or the
+    one trap is a final state without moves, where the construction stops
+    (``first_hit``)."""
     order = a._sym_index.__getitem__
     # one frozenset per (state, symbol), so a target that comes from one
     # state alone is that shared object, hashed only once
@@ -374,21 +382,20 @@ def _subset_step(a, cut=None):
             return targets.items()
         return [(sym, targets[sym]) for sym in sorted(targets, key=order)]
 
-    if cut is None:
+    if not traps:
         return step
-    # only a subset with a move into an accept-all state has a successor
-    # that the cut can change
-    sinks = _accept_all(a)
+    trap = _trap(traps)
+    # only a subset with a move into a trap has a successor the rule changes
     feeds = frozenset(q for q, m in moves.items()
-                      if any(not sinks.isdisjoint(d) for d in m.values()))
+                      if any(not traps.isdisjoint(d) for d in m.values()))
 
-    def cut_step(s):
+    def trap_step(s):
         if feeds.isdisjoint(s):
             return step(s)
-        return [(sym, t) for sym, t in ((sym, cut(t)) for sym, t in step(s))
-                if t]
+        return [(sym, t if traps.isdisjoint(t) else trap)
+                for sym, t in step(s)]
 
-    return cut_step
+    return trap_step
 
 
 def _accept_all(a):
@@ -401,39 +408,19 @@ def _accept_all(a):
                      and all(q in dsts for dsts in a._delta[q].values()))
 
 
-def _absorbing(a):
-    """The cut for a subset construction that only needs the language of
-    ``a``: a subset that holds an accept-all state becomes the smallest
-    one, which accepts the same words.  None when ``a`` has no accept-all
-    state, so that the construction stays the plain one."""
-    sinks = _accept_all(a)
-    if not sinks:
-        return None
-    trap = frozenset([min(sinks)])
-
-    def cut(s):
-        return s if sinks.isdisjoint(s) else trap
-
-    return cut
-
-
-def determinize_with_subsets(a, cap=DEFAULT_DET_CAP, *, cut=None):
+def determinize_with_subsets(a, cap=DEFAULT_DET_CAP, *, traps=_NO_STATES):
     """Subset construction; returns (dfa, subset of original states per
     new state).  Only subsets reachable from the initial set are built, and
     the empty successor subset is dropped (the result is a partial DFA).
 
-    Without ``cut`` every subset is exact, as the labelling engine needs,
-    since it reads which states each subset holds.  A caller that needs
-    only a language may pass a ``cut`` that replaces each subset holding
-    an accept-all state, the initial one included, by one with the same
-    future (``_absorbing``), and leaves every other subset as it is; a
-    subset cut to the empty one is dropped.  Raises DeterminizationCapError
-    when more than ``cap`` subsets appear.
+    Every subset, the initial one included, that holds one of ``traps``
+    becomes the smallest trap alone (``_subset_step``).  Without traps
+    every subset is exact, as the labelling engine needs, since it reads
+    which states each subset holds.  Raises DeterminizationCapError when
+    more than ``cap`` subsets appear.
     """
-    start = frozenset(a.initial)
-    if cut is not None:
-        start = cut(start)
-    subsets, edges = _explore([start], _subset_step(a, cut), cap)
+    subsets, edges = _explore([_start(a, traps)], _subset_step(a, traps),
+                              cap)
     final = [i for i, s in enumerate(subsets) if s & a.final]
     return (Nfa._built(len(subsets), a, _store(edges), [0], final,
                        name=a.name),
@@ -442,9 +429,9 @@ def determinize_with_subsets(a, cap=DEFAULT_DET_CAP, *, cut=None):
 
 def determinize(a, cap=DEFAULT_DET_CAP):
     """Language-preserving determinization via the subset construction,
-    with accept-all states absorbed (``_absorbing``).  On an automaton
-    without them it is ``determinize_with_subsets``'s DFA."""
-    return determinize_with_subsets(a, cap, cut=_absorbing(a))[0]
+    with the accept-all states of ``a`` as traps.  On an automaton without
+    them it is ``determinize_with_subsets``'s DFA."""
+    return determinize_with_subsets(a, cap, traps=_accept_all(a))[0]
 
 
 def through_state(a, q):
@@ -487,11 +474,10 @@ def first_hit(a, q, cap=DEFAULT_DET_CAP):
     such prefix.
 
     It is the subset construction of q's back-language acceptor (the
-    states that can reach q, with q final and without moves), in which a
-    subset that holds q is final and stops: it has no moves, whatever else
-    it holds.  That is not a ``cut`` to {q}, which ``_subset_step`` would
-    apply only after a move into an accept-all state.  Raises
-    DeterminizationCapError when more than ``cap`` subsets appear.
+    states that can reach q, with q final and without moves), with q as
+    the trap: a subset that holds q becomes {q}, the one final state, and
+    stops there.  Raises DeterminizationCapError when more than ``cap``
+    subsets appear.
     """
     a._check_state(q)
     to_q = coreach(a, [q])
@@ -508,14 +494,7 @@ def first_hit(a, q, cap=DEFAULT_DET_CAP):
     # every start can reach q, so q is a node when there is a start
     acceptor = Nfa._built(len(nodes), a, _store(edges), range(len(starts)),
                           [nodes.index(q)] if nodes else ())
-    step = _subset_step(acceptor)
-
-    def stop(s):
-        return step(s) if acceptor.final.isdisjoint(s) else ()
-
-    subsets, edges = _explore([frozenset(acceptor.initial)], stop, cap)
-    final = [i for i, s in enumerate(subsets) if s & acceptor.final]
-    return Nfa._built(len(subsets), a, _store(edges), [0], final)
+    return determinize_with_subsets(acceptor, cap, traps=acceptor.final)[0]
 
 
 def accepts(a, word):

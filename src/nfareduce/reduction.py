@@ -239,6 +239,6 @@ def greedy_error_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
 def distance(a1, a2, p, det_cap=DEFAULT_DET_CAP):
     """Probabilistic distance: the probability of the symmetric difference
     of the two languages, one language-probability solve on the DFA that
-    accepts it.  The union of the two automata is determinized under
-    ``det_cap``."""
+    accepts it.  That DFA pairs the subsets of the two automata and has
+    at most ``det_cap`` states."""
     return prob_lang(p, _symmetric_difference(a1, a2, det_cap))

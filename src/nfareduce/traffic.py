@@ -16,9 +16,9 @@ The skeleton is a complete DFA, so its table is dense from the start.  For
 ``traffic_error``, each automaton gets a lazy subset table instead: the
 subset construction, with an explicit dead subset, whose rows are filled
 only when a run first reaches them.  Only the subsets the corpus leads to
-are built, under the usual determinization cap, and a subset that holds an
-accept-all state is cut down to one such state, since eval reads only
-whether a word is accepted.
+are built, under the usual determinization cap, with the accept-all states
+as traps (``nfa._subset_step``), since eval reads only whether a word is
+accepted.
 """
 
 from itertools import chain
@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DeterminizationCapError
-from .nfa import (DEFAULT_DET_CAP, Nfa, _absorbing, _subset_step,
+from .nfa import (DEFAULT_DET_CAP, Nfa, _accept_all, _start, _subset_step,
                   same_alphabet)
 from .pa import Pa
 
@@ -155,8 +155,8 @@ def traffic_error(a, a_reduced, sample):
 
 
 class _LazySubsets:
-    """The subset construction of ``a`` with its accept-all states
-    absorbed (``nfa._absorbing``), filled only where a run goes.
+    """The subset construction of ``a`` with its accept-all states as
+    traps (``nfa._subset_step``), filled only where a run goes.
 
     ``table[i, j]`` is the subset reached from subset ``i`` on the symbol
     in column ``j`` (``columns`` maps symbols to columns).  Subset 0 is the
@@ -166,8 +166,8 @@ class _LazySubsets:
     """
 
     def __init__(self, a, columns, cap):
-        cut = _absorbing(a)
-        self._subset_step = _subset_step(a, cut)
+        traps = _accept_all(a)
+        self._subset_step = _subset_step(a, traps)
         self._columns = columns
         self._cap = cap
         self._accepting = a.final
@@ -176,9 +176,7 @@ class _LazySubsets:
         self.final = []
         self.table = np.full((2, len(columns)), -1, np.int32)
         self._add(frozenset())
-        initial = frozenset(a.initial)
-        if cut is not None:
-            initial = cut(initial)
+        initial = _start(a, traps)
         self.start = self._add(initial) if initial else 0
 
     def _add(self, subset):

@@ -57,14 +57,14 @@ def test_selfloop_labels_match_oracle(a, p):
 
 def record_determinizations(monkeypatch):
     """The automata handed to ``determinize_with_subsets`` at every
-    binding (the engine's, and the one behind ``nfa.determinize``), each
-    with whether it came with a ``cut``, as the language-only
-    determinization passes one."""
+    binding (the engine's, and the one behind ``nfa.determinize`` and
+    ``nfa.first_hit``), each with the ``traps`` it came with: None for the
+    engine, which passes none."""
     calls = []
     determinize_with_subsets = nfa.determinize_with_subsets
 
     def recorded(a, cap=nfa.DEFAULT_DET_CAP, **kw):
-        calls.append((a, "cut" in kw))
+        calls.append((a, kw.get("traps")))
         return determinize_with_subsets(a, cap, **kw)
 
     for module in (nfa, labels):
@@ -90,25 +90,29 @@ def test_one_determinization_per_component(monkeypatch, kind, variant):
     assert len(subs) == 2
     fn = label_prune if kind == "prune" else label_selfloop
     fn(a, p, variant)
-    assert calls == [(sub, False) for sub in subs]
+    assert calls == [(sub, None) for sub in subs]
 
 
 @pytest.mark.parametrize("variant", [2, 3])
 def test_selfloop_runs_no_engine(monkeypatch, variant):
-    # sl2 builds each state's first-hit DFA by its own subset construction
-    # and determinizes nothing; sl3 adds p3's language-only
-    # determinizations, one per through-state acceptor.  The acceptor of
-    # an initial state accepts its component's whole language, so that
-    # one can be as large as the component's DFA.
+    # sl2 determinizes each state's back-language acceptor, with the
+    # state as the trap, and never a component; sl3 adds p3's
+    # language-only determinizations, one per through-state acceptor.  The
+    # acceptor of an initial state accepts its component's whole language,
+    # so that one can be the component itself, but every call carries
+    # traps, which the engine never passes.
     calls = record_determinizations(monkeypatch)
     p = random_pa(random.Random(7), max_states=3, alphabet=BA)
     a = two_components()
     label_selfloop(a, p, variant)
-    acceptors = [through_state(sub, q)
-                 for sub in (restrict(a, comp) for comp in components(a))
+    subs = [restrict(a, comp) for comp in components(a)]
+    acceptors = [through_state(sub, q) for sub in subs
                  for q in range(sub.num_states)]
-    assert len(calls) == (0 if variant == 2 else 8)
-    assert all(cut and any(b == t for t in acceptors) for b, cut in calls)
+    assert all(traps is not None for _, traps in calls)
+    through = [b for b, _ in calls if b in acceptors]
+    first_hits = [b for b, _ in calls if b not in acceptors]
+    assert (len(first_hits), len(through)) == (8, 0 if variant == 2 else 8)
+    assert not any(b in subs for b in first_hits)
 
 
 def deterministic(a):

@@ -12,10 +12,11 @@ from nfareduce import (Nfa, Pa, accepts, components, determinize,
                        trim, trim_survivors, union)
 from nfareduce.errors import AlphabetMismatchError, DeterminizationCapError
 from nfareduce.langprob import _deterministic
-from nfareduce.nfa import _absorbing, _accept_all, first_hit
+from nfareduce.nfa import _accept_all, _symmetric_difference, first_hit
 
 from util import (AB, ABC, BA, a2, banguage_nfa, canon_dfa, lang_upto, nfas,
-                  product, random_nfa, self_product_unambiguous, trapped_nfas,
+                  product, random_nfa, same_dfa_language,
+                  self_product_unambiguous, stop_first_hit, trapped_nfas,
                   words_upto)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -252,18 +253,17 @@ class TestAcceptAll:
     @given(nfas())
     def test_without_accept_all_states_nothing_changes(self, a):
         assume(not _accept_all(a))
-        assert _absorbing(a) is None
         assert determinize(a) == determinize_with_subsets(a)[0]
 
-    def test_cut_to_empty_is_dropped(self):
-        # 2 accepts everything; a cut that empties the subsets holding it
-        # drops them like an empty successor
-        a = Nfa(3, AB, [(0, "a", 1), (0, "b", 2), (2, "a", 2), (2, "b", 2)],
-                [0], [1, 2])
-        d, subsets = determinize_with_subsets(
-            a, cut=lambda s: frozenset() if 2 in s else s)
-        assert subsets == (frozenset({0}), frozenset({1}))
-        assert list(d.transitions()) == [(0, "a", 1)]
+    def test_both_sides_trapped_is_dropped(self):
+        # on "b" both sides reach an accept-all state: no continuation is
+        # in the symmetric difference, so that pair is dropped like an
+        # empty successor; on "a" only the first side accepts
+        a1 = Nfa(3, AB, [(0, "a", 1), (0, "b", 2), (2, "a", 2), (2, "b", 2)],
+                 [0], [1, 2])
+        a2 = Nfa(2, AB, [(0, "b", 1), (1, "a", 1), (1, "b", 1)], [0], [1])
+        sd = _symmetric_difference(a1, a2)
+        assert sd == Nfa(2, AB, [(0, "a", 1)], [0], [1])
 
 
 class TestThroughState:
@@ -292,7 +292,7 @@ class TestFirstHit:
     @given(st.one_of(nfas(), trapped_nfas()), st.data())
     def test_shortest_prefixes_of_the_back_language(self, a, data):
         # the words of q's back-language none of whose proper prefixes is
-        # one; a subset that holds q stops, whatever else it holds
+        # one; a subset that holds q becomes {q} and stops there
         assume(a.num_states > 0)
         q = data.draw(st.integers(0, a.num_states - 1))
         fh = first_hit(a, q)
@@ -304,7 +304,7 @@ class TestFirstHit:
 
     def test_worked_example(self):
         # Sigma* a b with q the end of ab: the subsets {0}, {0, 1} and
-        # {0, 2}, where the last one stops
+        # {2}, which {0, 2} becomes and where the DFA stops
         a = Nfa(3, AB, [(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "b", 2)],
                 [0], [2])
         fh = first_hit(a, 2)
@@ -312,6 +312,18 @@ class TestFirstHit:
         assert lang_upto(fh, 4) == {tuple(w) for w in ("ab", "aab", "bab",
                                                        "aaab", "baab", "bbab")}
         assert lang_upto(first_hit(a, 0), 4) == {()}
+
+    @SETTINGS
+    @given(st.one_of(nfas(), trapped_nfas()), st.data())
+    def test_lumps_the_stopping_construction(self, a, data):
+        # the subsets that hold q, which the construction that stops on
+        # them keeps apart, become the one final state {q}
+        assume(a.num_states > 0)
+        q = data.draw(st.integers(0, a.num_states - 1))
+        fh, stop = first_hit(a, q), stop_first_hit(a, q)
+        assert same_dfa_language(fh, stop)
+        assert len(fh.final) <= 1 and all(not fh.moves(f) for f in fh.final)
+        assert fh.num_states <= stop.num_states
 
     def test_cap(self):
         a = Nfa(3, AB, [(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "b", 2)],

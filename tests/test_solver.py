@@ -24,8 +24,8 @@ from nfareduce import (Nfa, Pa, accepts, determinize_with_subsets, distance,
 from nfareduce import langprob
 from nfareduce.nfa import _accept_all, _symmetric_difference
 
-from util import (BA, mp_distance, mp_lang, nfas, trapped_nfas, weight_lang,
-                  words_upto)
+from util import (BA, mp_distance, mp_lang, nfas, trapped_nfas,
+                  union_symmetric_difference, weight_lang, words_upto)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -118,6 +118,16 @@ def test_symmetric_difference_without_accept_all_states_is_plain(a1, a2):
                 [i for i, s in enumerate(subsets)
                  if bool(s & a1.final) != bool(s & final2)])
     assert _symmetric_difference(a1, a2) == plain
+
+
+@SETTINGS
+@given(trapped_nfas(), st.one_of(nfas(), trapped_nfas()), st.booleans())
+def test_symmetric_difference_is_the_cut_union_construction(a1, a2, swap):
+    # the pairs of subsets, each side trapped on its own, against the
+    # construction on the union cut per side: state for state
+    if swap:
+        a1, a2 = a2, a1
+    assert _symmetric_difference(a1, a2) == union_symmetric_difference(a1, a2)
 
 
 @pytest.mark.parametrize("limit", [langprob.DENSE_SOLVE_LIMIT, 0],

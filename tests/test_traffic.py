@@ -204,8 +204,8 @@ class TestTrafficError:
                     assert accepts(looped, w) and not accepts(a, w)
 
     def test_selfloop_mismatches_match_per_word_accepts(self):
-        # the looped states accept every word; the lazy subset table cuts
-        # a subset holding one down to one state
+        # the looped states accept every word; the lazy subset table takes
+        # them as traps, so a subset holding one becomes one state
         rng = random.Random(64)
         for _ in range(15):
             a = random_nfa(rng, max_states=6)

@@ -4,6 +4,10 @@
 - Constructions the library does not need, built through ``Nfa(...)``
   with every transition checked: the product automaton, the
   back-language acceptor and the untrimmed through-state acceptor.
+- The first ways of building the symmetric-difference DFA (the subset
+  construction of the union, cut per side) and the first-hit DFA (a
+  subset that holds the state stops), which the library's trap rule
+  must match.
 - Brute-force oracles kept independent of the library's solver pipeline:
   word enumeration (``bf_prob_lang``, ``naive_lang_prob``), fixed-point
   reachability, and 40-digit mpmath solves of the library's products.
@@ -22,7 +26,7 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
-from nfareduce import (Nfa, Pa, Ppa, accepts, components,
+from nfareduce import (Nfa, Pa, Ppa, accepts, components, coreach,
                        determinize_with_subsets, prob_lang, reach,
                        restrict_with_map, self_loop, trim, trim_survivors,
                        union, validate_pa, word_prob)
@@ -162,6 +166,92 @@ def through_state(a, q):
     return Nfa(len(nodes), a.alphabet, edges, range(len(starts)),
                [i for i, (s, flag) in enumerate(nodes)
                 if flag and s in a.final])
+
+
+def accept_all(a):
+    """Final states with a self-loop on every symbol."""
+    return frozenset(q for q in a.final
+                     if all(q in a.succ(q, sym) for sym in a.alphabet))
+
+
+def subset_successor(a, s, sym):
+    return frozenset(d for q in s for d in a.succ(q, sym))
+
+
+def union_symmetric_difference(a1, a2):
+    """Partial DFA of the words in exactly one of L(a1) and L(a2), as the
+    subset construction of their union.  A side's part of a subset that
+    holds an accept-all state of that side is cut down to the side's
+    smallest one; a subset where both parts hold one is cut to the empty
+    one, which is dropped (or, as the initial subset, has no moves)."""
+    u = union(a1, a2)
+    off = a1.num_states
+    sinks = (accept_all(a1), frozenset(q + off for q in accept_all(a2)))
+    sides = (frozenset(range(off)), frozenset(range(off, u.num_states)))
+
+    def cut(s):
+        held = [not k.isdisjoint(s) for k in sinks]
+        if all(held):
+            return frozenset()
+        for k, side, h in zip(sinks, sides, held):
+            if h:
+                s = s - side | {min(k)}
+        return s
+
+    def step(s):
+        for sym in u.alphabet:
+            t = cut(subset_successor(u, s, sym))
+            if t:
+                yield sym, t
+
+    subsets, edges = _explore([cut(frozenset(u.initial))], step)
+    final2 = {q + off for q in a2.final}
+    return Nfa(len(subsets), u.alphabet, edges, [0],
+               [i for i, s in enumerate(subsets)
+                if bool(s & a1.final) != bool(s & final2)])
+
+
+def stop_first_hit(a, q):
+    """DFA of the words that reach ``q`` and have no proper prefix that
+    does: the subset construction of q's back-language acceptor (the
+    states that can reach q, with q final and without moves), in which a
+    subset that holds q is final and has no moves, whatever else it
+    holds."""
+    to_q = coreach(a, [q])
+    back = Nfa(a.num_states, a.alphabet,
+               [(s, sym, d) for s, sym, d in a.transitions()
+                if s != q and s in to_q and d in to_q],
+               a.initial & to_q, [q])
+
+    def step(s):
+        if q not in s:
+            for sym in a.alphabet:
+                t = subset_successor(back, s, sym)
+                if t:
+                    yield sym, t
+
+    subsets, edges = _explore([frozenset(back.initial)], step)
+    return Nfa(len(subsets), a.alphabet, edges, [0],
+               [i for i, s in enumerate(subsets) if q in s])
+
+
+def same_dfa_language(d1, d2):
+    """Whether two partial DFAs over one alphabet accept the same words:
+    no pair of states they reach on one word (None once a side is dead)
+    is final on one side only."""
+    def succ(d, q, sym):
+        nxt = d.succ(q, sym) if q is not None else ()
+        return nxt[0] if nxt else None
+
+    def step(pair):
+        for sym in d1.alphabet:
+            nxt = (succ(d1, pair[0], sym), succ(d2, pair[1], sym))
+            if nxt != (None, None):
+                yield sym, nxt
+
+    start = (min(d1.initial, default=None), min(d2.initial, default=None))
+    pairs, _ = _explore([start], step)
+    return all((q1 in d1.final) == (q2 in d2.final) for q1, q2 in pairs)
 
 
 def ppa_product(p, a, final_weights="model", trimmed=True):
