@@ -6,7 +6,7 @@ from .errors import (AlphabetMismatchError, CapExceededError,
 from .nfa import (DEFAULT_DET_CAP, Nfa, accepts, components, coreach,
                   determinize, determinize_with_subsets, reach, restrict,
                   restrict_with_map, self_loop, through_state, trim,
-                  trim_survivors, union)
+                  trim_survivors)
 from .pa import (Pa, Ppa, make_p_exp, support, validate_pa, word_prob,
                  word_weight)
 from .langprob import ProductPpa, prob_lang, product_pa_nfa
@@ -29,7 +29,7 @@ __all__ = [
     "DEFAULT_DET_CAP", "Nfa", "accepts", "components", "coreach",
     "determinize", "determinize_with_subsets", "reach", "restrict",
     "restrict_with_map", "self_loop", "through_state", "trim",
-    "trim_survivors", "union",
+    "trim_survivors",
     "Pa", "Ppa", "make_p_exp", "support", "validate_pa", "word_prob",
     "word_weight",
     "ProductPpa", "prob_lang", "product_pa_nfa",

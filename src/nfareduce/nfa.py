@@ -295,29 +295,14 @@ def self_loop(a, r):
                initial=a.initial, final=a.final | r, name=a.name)
 
 
-def union(a1, a2):
-    """Disjoint union; accepts L(a1) + L(a2).  States of a2 are shifted."""
-    alphabet = same_alphabet(a1, a2)
-    off = a1.num_states
-    transitions = list(a1.transitions())
-    transitions += [(src + off, sym, dst + off)
-                    for src, sym, dst in a2.transitions()]
-    return Nfa(a1.num_states + a2.num_states, alphabet, transitions,
-               initial=sorted(a1.initial) + [q + off for q in sorted(a2.initial)],
-               final=sorted(a1.final) + [q + off for q in sorted(a2.final)])
-
-
-def _symmetric_difference(a1, a2, cap=DEFAULT_DET_CAP):
-    """Partial DFA accepting the words in exactly one of L(a1) and L(a2).
-
-    Its states are pairs of subsets, one per side, each side stepped by its
-    own subset construction with its accept-all states as traps; a pair is
-    final when one side's subset holds a final state and the other's does
-    not.  A pair where both sides are trapped accepts every continuation on
-    both sides, so none is in the difference, and it is dropped (as the
-    initial pair, it has no moves).  The pairs are numbered as the subsets
-    of the construction on the union of the two automata would be.
-    Raises DeterminizationCapError when more than ``cap`` pairs appear."""
+def _difference(a1, a2):
+    """(start, step, final) of the DFA of the words in exactly one of L(a1)
+    and L(a2), for ``_explore`` or a lazy table.  Its states are pairs of
+    subsets, one per side, each side stepped by its own subset construction
+    with its accept-all states as traps; a pair is final when exactly one
+    side's subset holds a final state.  A pair where both sides are trapped
+    accepts every continuation on both sides, so the step drops it, as it
+    drops the empty pair; either one, as the start, has no moves."""
     alphabet = same_alphabet(a1, a2)
     traps1, traps2 = _accept_all(a1), _accept_all(a2)
     step1, step2 = _subset_step(a1, traps1), _subset_step(a2, traps2)
@@ -331,11 +316,21 @@ def _symmetric_difference(a1, a2, cap=DEFAULT_DET_CAP):
             if (t[0] or t[1]) and t != trapped:
                 yield sym, t
 
-    pairs, edges = _explore([(_start(a1, traps1), _start(a2, traps2))], step,
-                            cap)
-    final = [i for i, (s1, s2) in enumerate(pairs)
-             if bool(s1 & a1.final) != bool(s2 & a2.final)]
-    return Nfa._built(len(pairs), a1, _store(edges), [0], final)
+    def final(pair):
+        return bool(pair[0] & a1.final) != bool(pair[1] & a2.final)
+
+    return (_start(a1, traps1), _start(a2, traps2)), step, final
+
+
+def _symmetric_difference(a1, a2, cap=DEFAULT_DET_CAP):
+    """Partial DFA accepting the words in exactly one of L(a1) and L(a2):
+    ``_difference`` built by ``_explore``.  The pairs are numbered as the
+    subsets of the construction on the union of the two automata would be.
+    Raises DeterminizationCapError when more than ``cap`` pairs appear."""
+    start, step, final = _difference(a1, a2)
+    pairs, edges = _explore([start], step, cap)
+    return Nfa._built(len(pairs), a1, _store(edges), [0],
+                      [i for i, pair in enumerate(pairs) if final(pair)])
 
 
 def _trap(traps):

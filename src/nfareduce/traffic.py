@@ -12,13 +12,12 @@ Both the counting (``count_events``) and the empirical error
 once into a flat int32 array of alphabet indices, with the words ordered
 longest first, so the words still running at step t are a prefix; each
 step is then one array lookup ``table[state, symbol]`` for all of them.
-The skeleton is a complete DFA, so its table is dense from the start.  For
-``traffic_error``, each automaton gets a lazy subset table instead: the
-subset construction, with an explicit dead subset, whose rows are filled
-only when a run first reaches them.  Only the subsets the corpus leads to
-are built, under the usual determinization cap, with the accept-all states
-as traps (``nfa._subset_step``), since eval reads only whether a word is
-accepted.
+The skeleton is a complete DFA, so its table is dense from the start.
+``traffic_error`` fills one lazy table instead: the symmetric-difference
+DFA that ``distance`` solves (``nfa._difference``), with an explicit dead
+state, whose rows are filled only when a run first reaches them.  Only the
+pairs of subsets the corpus leads to are built, at most ``DEFAULT_DET_CAP``
+of them, and a word is a mismatch when it ends in a final pair.
 """
 
 from itertools import chain
@@ -26,8 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DeterminizationCapError
-from .nfa import (DEFAULT_DET_CAP, Nfa, _accept_all, _start, _subset_step,
-                  same_alphabet)
+from .nfa import DEFAULT_DET_CAP, Nfa, _difference
 from .pa import Pa
 
 
@@ -129,60 +127,53 @@ def traffic_error(a, a_reduced, sample):
     """Fraction of sample words classified differently by the two automata.
 
     Returns (mismatches, total, ratio); duplicates count with multiplicity.
-    The two alphabets must agree, and every symbol of every word must be
-    in them.  Raises
-    DeterminizationCapError when either automaton's subset table would need
-    more than ``DEFAULT_DET_CAP`` non-empty subsets.  A table holds one
-    int32 per (subset, symbol): at the default cap and a byte alphabet, up
-    to about 1 GiB per automaton, twice that for the copy while it grows,
-    besides the subsets themselves.
+    The mismatches are the sample words that ``distance``'s DFA accepts:
+    the runs step ``nfa._difference`` through one lazy table.  The two
+    alphabets must agree, and every symbol of every word must be in them.
+    Raises DeterminizationCapError when the table would need more than
+    ``DEFAULT_DET_CAP`` pairs.  The table holds one int32 per (pair,
+    symbol): at the default cap and a byte alphabet, up to about 1 GiB,
+    twice that for the copy while it grows, besides the pairs themselves.
     """
-    same_alphabet(a, a_reduced)
+    index = a._sym_index
+    table = _LazyTable(*_difference(a, a_reduced), index, DEFAULT_DET_CAP)
     words = list(sample)
     if not words:
         raise ValueError("sample is empty")
-    index = a._sym_index
-    first = _LazySubsets(a, index, DEFAULT_DET_CAP)
-    second = _LazySubsets(a_reduced, index, DEFAULT_DET_CAP)
-    s1 = np.full(len(words), first.start, np.int32)
-    s2 = np.full(len(words), second.start, np.int32)
+    states = np.full(len(words), table.start, np.int32)
     for live, syms in _lockstep(words, index, "alphabet"):
-        s1[:live] = first.step(s1[:live], syms)
-        s2[:live] = second.step(s2[:live], syms)
-    mismatches = int(np.count_nonzero(
-        np.array(first.final)[s1] != np.array(second.final)[s2]))
+        states[:live] = table.step(states[:live], syms)
+    mismatches = int(np.count_nonzero(np.array(table.final)[states]))
     return mismatches, len(words), mismatches / len(words)
 
 
-class _LazySubsets:
-    """The subset construction of ``a`` with its accept-all states as
-    traps (``nfa._subset_step``), filled only where a run goes.
+class _LazyTable:
+    """The DFA of ``start``, ``step`` (a state's (symbol, successor) moves)
+    and ``final`` (whether a state accepts), filled only where a run goes.
 
-    ``table[i, j]`` is the subset reached from subset ``i`` on the symbol
-    in column ``j`` (``columns`` maps symbols to columns).  Subset 0 is the
-    empty, dead subset, which every run that dies stays in.  A row is -1
+    ``table[i, j]`` is the state reached from state ``i`` on the symbol in
+    column ``j`` (``columns`` maps symbols to columns).  Row 0 is a dead
+    state, which every move that ``step`` leaves out leads to.  A row is -1
     throughout until a step first reads it, and is then filled whole; the
-    table doubles as subsets appear, up to ``cap`` non-empty subsets.
+    table doubles as states appear, up to ``cap`` states besides the dead.
     """
 
-    def __init__(self, a, columns, cap):
-        traps = _accept_all(a)
-        self._subset_step = _subset_step(a, traps)
+    def __init__(self, start, step, final, columns, cap):
+        self._step = step
+        self._is_final = final
         self._columns = columns
         self._cap = cap
-        self._accepting = a.final
         self._index = {}
-        self.subsets = []
-        self.final = []
+        self.keys = [None]
+        self.final = [False]
         self.table = np.full((2, len(columns)), -1, np.int32)
-        self._add(frozenset())
-        initial = _start(a, traps)
-        self.start = self._add(initial) if initial else 0
+        self.table[0] = 0
+        self.start = self._add(start)
 
-    def _add(self, subset):
-        i = self._index[subset] = len(self.subsets)
-        self.subsets.append(subset)
-        self.final.append(bool(subset & self._accepting))
+    def _add(self, key):
+        i = self._index[key] = len(self.keys)
+        self.keys.append(key)
+        self.final.append(self._is_final(key))
         if i == len(self.table):
             grow = min(len(self.table), self._cap + 1 - i)
             self.table = np.concatenate(
@@ -191,19 +182,18 @@ class _LazySubsets:
 
     def _fill(self, i):
         row = [0] * len(self._columns)
-        for sym, subset in self._subset_step(self.subsets[i]):
-            j = self._index.get(subset)
+        for sym, key in self._step(self.keys[i]):
+            j = self._index.get(key)
             if j is None:
-                # the non-empty subsets so far, counted as ``_explore`` does
-                full = len(self.subsets) - 1
-                if full >= self._cap:
+                # states besides the dead, counted as ``_explore`` does
+                if len(self.keys) - 1 >= self._cap:
                     raise DeterminizationCapError(self._cap)
-                j = self._add(subset)
+                j = self._add(key)
             row[self._columns[sym]] = j
         self.table[i] = row
 
     def step(self, states, syms):
-        """The subsets the runs in ``states`` reach on ``syms``."""
+        """The states the runs in ``states`` reach on ``syms``."""
         nxt = self.table[states, syms]
         missing = nxt < 0
         if missing.any():

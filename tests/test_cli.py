@@ -516,6 +516,27 @@ class TestLearnEval:
         assert report["mismatches"] == "3"
         assert report["total"] == "4"
 
+    def test_eval_det_cap_counts_pairs(self, files, tmp_path, capsys,
+                                       monkeypatch):
+        _, fa, _ = files
+        ambiguous = tmp_path / "amb.fa"
+        ambiguous.write_text(
+            "%Alphabet a b\n%Initial q0\n%Final q1 q2\n"
+            "q0 a q1\nq0 a q2\nq1 b q0\n")
+        sample = tmp_path / "sample.txt"
+        sample.write_text("a b\nb\na\na a\n")
+        argv = ["eval", str(ambiguous), fa, "--sample", str(sample)]
+        # the sample reaches 4 pairs of subsets
+        monkeypatch.setattr(traffic, "DEFAULT_DET_CAP", 4)
+        assert main(argv) == 0
+        assert "mismatches=3" in capsys.readouterr().out.splitlines()
+        monkeypatch.setattr(traffic, "DEFAULT_DET_CAP", 3)
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert out == ""
+        assert len(err) == 1 and err[0].startswith("resource cap: ")
+
     def test_eval_binary_sample(self, tmp_path, capsys):
         byte_fa = tmp_path / "bytes.fa"
         byte_fa.write_text("%Initial q0\n%Final q1\nq0 0x61 q1\n")

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from nfareduce import (components, distance, label_prune, label_selfloop,
                        labels, langprob, nfa, restrict, through_state)
 
-from util import BA, nfas, oracle_labels, random_pa, trapped_nfas
+from util import BA, nfas, oracle_labels, random_pa, trapped_nfas, union
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -74,10 +74,10 @@ def record_determinizations(monkeypatch):
 
 def two_components():
     """Two 4-state components over BA, each ambiguous (two runs on ab)."""
-    return nfa.union(*(nfa.trim(nfa.Nfa(4, BA, [(0, "a", 1), (0, "a", 2),
-                                                 (1, "b", 3), (2, "b", 3),
-                                                 (3, s, 0)], [0], [3]))
-                       for s in BA))
+    return union(*(nfa.trim(nfa.Nfa(4, BA, [(0, "a", 1), (0, "a", 2),
+                                            (1, "b", 3), (2, "b", 3),
+                                            (3, s, 0)], [0], [3]))
+                   for s in BA))
 
 
 @pytest.mark.parametrize("kind, variant", [("prune", 1), ("prune", 2),

@@ -10,7 +10,7 @@ from nfareduce import (Nfa, label_prune, label_selfloop, make_p_exp,
 
 from util import (AB, a2, banguage_nfa, bf_prob_lang, lang_upto,
                   oracle_labels, random_nfa, random_pa,
-                  self_product_unambiguous, words_upto)
+                  self_product_unambiguous, union, words_upto)
 
 
 class TestWorkedExamples:
@@ -85,7 +85,6 @@ class TestComponentWise:
             # two disjoint sub-automata: guaranteed multiple components
             x = random_nfa(rng, max_states=4, alphabet=p.alphabet)
             y = random_nfa(rng, max_states=4, alphabet=p.alphabet)
-            from nfareduce import union
             a = union(x, y)
             for kind, fn in (("prune", label_prune),
                              ("selfloop", label_selfloop)):

@@ -7,11 +7,11 @@ import random
 import pytest
 
 from nfareduce import (Nfa, determinize, make_p_exp, prob_lang, product_pa_nfa,
-                       restrict, union)
+                       restrict)
 from nfareduce.errors import AlphabetMismatchError
 
 from util import (AB, bf_prob_lang, naive_lang_prob, random_nfa, random_pa,
-                  weight_lang)
+                  union, weight_lang)
 
 
 def universal(alphabet=AB):

@@ -1,11 +1,13 @@
 """The lockstep traffic layer against per-word oracles on random small
 automata and corpora.
 
-``traffic_error`` steps every word at once through lazily filled subset
-tables; the oracle is ``accepts`` run word by word.  ``count_events`` steps
+``traffic_error`` steps every word at once through one lazily filled
+table of the symmetric-difference DFA that ``distance`` solves; the
+oracles are ``accepts`` run word by word on the two automata and on that
+DFA, whose states bound the pairs the table holds.  ``count_events`` steps
 every word at once through the skeleton's dense table; the oracle is the
 per-word counting loop.  Both string and byte alphabets are drawn, as text
-and binary corpora give them.
+and binary corpora give them, and automata with accept-all states.
 """
 
 import pytest
@@ -13,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfareduce import Nfa, accepts, count_events, traffic_error
+from nfareduce.nfa import _symmetric_difference
 
-from util import per_word_count_events
+from util import BA, eval_table, per_word_count_events, trapped_nfas
 
 ALPHABETS = [("b", "a"), (0x62, 0x00, 0xFF)]
 
@@ -65,6 +68,11 @@ def eval_cases(draw):
 
 
 @st.composite
+def trapped_cases(draw):
+    return draw(trapped_nfas()), draw(trapped_nfas()), draw(corpora(BA))
+
+
+@st.composite
 def learn_cases(draw):
     alphabet = tuple(draw(st.permutations(draw(st.sampled_from(ALPHABETS)))))
     return draw(skeletons(alphabet)), draw(corpora(alphabet))
@@ -77,6 +85,17 @@ def test_traffic_error_matches_per_word_accepts(case):
     mismatches = sum(accepts(a, w) != accepts(b, w) for w in sample)
     assert traffic_error(a, b, sample) == (mismatches, len(sample),
                                            mismatches / len(sample))
+
+
+@SETTINGS
+@given(st.one_of(eval_cases(), trapped_cases()))
+def test_eval_counts_the_words_the_distance_dfa_accepts(case):
+    a, b, sample = case
+    (mismatches, _, _), table = eval_table(a, b, sample)
+    dfa = _symmetric_difference(a, b)
+    assert mismatches == sum(accepts(dfa, w) for w in sample)
+    # every pair a sample reaches is a state of that DFA
+    assert len(table.keys) - 1 <= dfa.num_states
 
 
 @SETTINGS

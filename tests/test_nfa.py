@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nfareduce import (Nfa, Pa, accepts, components, determinize,
                        determinize_with_subsets, product_pa_nfa, reach,
                        restrict, self_loop, serialize_nfa, through_state,
-                       trim, trim_survivors, union)
+                       trim, trim_survivors)
 from nfareduce.errors import AlphabetMismatchError, DeterminizationCapError
 from nfareduce.langprob import _deterministic
 from nfareduce.nfa import _accept_all, _symmetric_difference, first_hit
@@ -17,7 +17,7 @@ from nfareduce.nfa import _accept_all, _symmetric_difference, first_hit
 from util import (AB, ABC, BA, a2, banguage_nfa, canon_dfa, lang_upto, nfas,
                   product, random_nfa, same_dfa_language,
                   self_product_unambiguous, stop_first_hit, trapped_nfas,
-                  words_upto)
+                  union, words_upto)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 

@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 import nfareduce
 from nfareduce import (Nfa, Pa, accepts, determinize_with_subsets, distance,
-                       prob_lang, union)
+                       prob_lang)
 from nfareduce import langprob
 from nfareduce.nfa import _accept_all, _symmetric_difference
 
-from util import (BA, mp_distance, mp_lang, nfas, trapped_nfas,
+from util import (BA, mp_distance, mp_lang, nfas, trapped_nfas, union,
                   union_symmetric_difference, weight_lang, words_upto)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)

@@ -9,8 +9,9 @@ from nfareduce import (AlphabetMismatchError, DeterminizationCapError, Nfa,
                        accepts, complete_dfa, count_events, determinize,
                        learn_pa, reduce_prune, reduce_selfloop, self_loop,
                        traffic_error, validate_pa, word_prob)
+from nfareduce.nfa import _symmetric_difference
 
-from util import AB, a2, random_dfa, random_nfa, sample_word
+from util import AB, a2, eval_table, random_dfa, random_nfa, sample_word
 
 
 def two_state_skeleton():
@@ -180,6 +181,30 @@ class TestTrafficError:
             traffic_error(a, a, [("a", "b")])
         monkeypatch.setattr(traffic, "DEFAULT_DET_CAP", 3)
         assert traffic_error(a, a, [("a", "b")]) == (0, 1, 0.0)
+
+    def test_trapped_starts_fill_only_the_start_row(self):
+        # both initial states accept every word, so the start pair is
+        # trapped on both sides: it has no moves and every run goes dead
+        universal = Nfa(1, AB, [(0, "a", 0), (0, "b", 0)], [0], [0])
+        looped = self_loop(a2(), [0])
+        sample = [(), ("a", "b"), ("b", "b", "a")]
+        result, table = eval_table(universal, looped, sample)
+        assert result == (0, 3, 0.0)
+        assert (len(table.keys), table.start) == (2, 1)
+        assert table.table.tolist() == [[0, 0], [0, 0]]
+
+    def test_cap_counts_the_pairs_runs_reach(self, monkeypatch):
+        # the sample reaches 4 of the 6 pairs of the difference DFA
+        amb = Nfa(3, AB, [(0, "a", 1), (0, "a", 2), (1, "b", 0)], [0],
+                  [1, 2])
+        sample = [("a", "b"), ("b",), ("a",), ("a", "a")]
+        assert _symmetric_difference(amb, a2()).num_states == 6
+        assert len(eval_table(amb, a2(), sample)[1].keys) - 1 == 4
+        monkeypatch.setattr(traffic, "DEFAULT_DET_CAP", 4)
+        assert traffic_error(amb, a2(), sample) == (3, 4, 0.75)
+        monkeypatch.setattr(traffic, "DEFAULT_DET_CAP", 3)
+        with pytest.raises(DeterminizationCapError):
+            traffic_error(amb, a2(), sample)
 
     def test_duplicates_count(self):
         a = a2()

@@ -2,8 +2,9 @@
 
 - Hand automata and random instance generators, plain and ``hypothesis``.
 - Constructions the library does not need, built through ``Nfa(...)``
-  with every transition checked: the product automaton, the
-  back-language acceptor and the untrimmed through-state acceptor.
+  with every transition checked: the disjoint union, the product
+  automaton, the back-language acceptor and the untrimmed through-state
+  acceptor.
 - The first ways of building the symmetric-difference DFA (the subset
   construction of the union, cut per side) and the first-hit DFA (a
   subset that holds the state stops), which the library's trap rule
@@ -18,19 +19,22 @@
   language probability per final state, final set or state; sl2 on a
   ``prefix_universal`` acceptor rather than a first-hit DFA), and the
   per-word event counts the lockstep ``count_events`` is held to.
+- ``eval_table``, which returns the lazy table ``traffic_error`` filled.
 """
 
 import itertools
+from unittest import mock
 
 import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
+from nfareduce import traffic
 from nfareduce import (Nfa, Pa, Ppa, accepts, components, coreach,
                        determinize_with_subsets, prob_lang, reach,
                        restrict_with_map, self_loop, trim, trim_survivors,
-                       union, validate_pa, word_prob)
-from nfareduce.nfa import _closure, _explore
+                       validate_pa, word_prob)
+from nfareduce.nfa import _closure, _explore, same_alphabet
 
 ABC = ("a", "b", "c")
 AB = ("a", "b")
@@ -102,6 +106,18 @@ def naive_components(a):
         if not any(q in c for c in comps):
             comps.append(naive_closure([q], pairs))
     return comps
+
+
+def union(a1, a2):
+    """Disjoint union; accepts L(a1) + L(a2).  States of a2 are shifted."""
+    alphabet = same_alphabet(a1, a2)
+    off = a1.num_states
+    transitions = list(a1.transitions())
+    transitions += [(src + off, sym, dst + off)
+                    for src, sym, dst in a2.transitions()]
+    return Nfa(a1.num_states + a2.num_states, alphabet, transitions,
+               initial=sorted(a1.initial) + [q + off for q in sorted(a2.initial)],
+               final=sorted(a1.final) + [q + off for q in sorted(a2.final)])
 
 
 def product_with_pairs(a1, a2):
@@ -455,6 +471,21 @@ def oracle_labels(a, p, kind, variant, by_component=True):
         for orig_q, value in zip(origins, compute(sub, p, variant)):
             values[orig_q] = value
     return values
+
+
+def eval_table(a, b, sample):
+    """``traffic_error(a, b, sample)`` and the lazy table it filled: row 0
+    is the dead state, every other row one pair of ``nfa._difference``."""
+    tables = []
+
+    class Recorded(traffic._LazyTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    with mock.patch.object(traffic, "_LazyTable", Recorded):
+        result = traffic.traffic_error(a, b, sample)
+    return result, tables[0]
 
 
 def per_word_count_events(skeleton, corpus):
