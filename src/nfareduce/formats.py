@@ -24,7 +24,8 @@ sections in the order Alphabet, Initial, Final, then transitions sorted by
 
 Corpora come in two modes: text (one word per line, whitespace-separated
 symbol tokens, blank line = empty word) and binary (repeated records of a
-4-byte little-endian length followed by that many payload bytes).
+4-byte little-endian length followed by that many payload bytes).  A text
+word is a tuple of symbols, a binary word the ``bytes`` of its payload.
 """
 
 import re
@@ -225,7 +226,8 @@ def read_corpus_text(text):
 
 def read_corpus_bin(data):
     """Words from a binary corpus: repeated records of a 4-byte little-endian
-    unsigned length followed by that many payload bytes."""
+    unsigned length followed by that many payload bytes.  Each word is the
+    ``bytes`` slice of its payload, whose items are the byte symbols 0-255."""
     words = []
     off = 0
     total = len(data)
@@ -236,6 +238,6 @@ def read_corpus_bin(data):
         off += 4
         if off + length > total:
             raise FormatError("truncated payload in binary corpus")
-        words.append(tuple(data[off:off + length]))
+        words.append(data[off:off + length])
         off += length
     return words

@@ -9,9 +9,10 @@ choice left to the caller.
 
 Both the counting (``count_events``) and the empirical error
 (``traffic_error``) run the whole corpus in lockstep.  The corpus is encoded
-once into a flat int32 array of alphabet indices, with the words ordered
-longest first, so the words still running at step t are a prefix; each
-step is then one array lookup ``table[state, symbol]`` for all of them.
+once into a flat int32 array of alphabet indices (a binary corpus's
+``bytes`` words by one table lookup, see ``_lockstep``), with the words
+ordered longest first, so the words still running at step t are a prefix;
+each step is then one array lookup ``table[state, symbol]`` for all of them.
 The skeleton is a complete DFA, so its table is dense from the start.
 ``traffic_error`` fills one lazy table instead: the symmetric-difference
 DFA that ``distance`` solves (``nfa._difference``), with an explicit dead
@@ -209,14 +210,26 @@ def _lockstep(words, index, alphabet_name):
     the alphabet that ``index`` numbers.
 
     The corpus is encoded once, as one flat int32 array of alphabet
-    indices.  Words are taken longest first, so the words still running at
-    step t are a prefix.  A symbol outside the alphabet raises ValueError,
-    wherever it is.
+    indices.  A corpus of ``bytes`` words is joined into one buffer and
+    encoded by one lookup in a 256-entry table, -1 for a byte outside the
+    alphabet.  Other words go through ``index`` symbol by symbol, the only
+    path for string symbols (text corpora, tuples from callers).  Words are
+    taken longest first, so the words still running at step t are a
+    prefix.  The first symbol outside the alphabet raises ValueError.
     """
     lengths = np.fromiter(map(len, words), np.int64, len(words))
     try:
-        codes = np.fromiter(map(index.__getitem__, chain.from_iterable(words)),
-                            np.int32, int(lengths.sum()))
+        if all(isinstance(w, bytes) for w in words):
+            buf = np.frombuffer(b"".join(words), np.uint8)
+            lut = np.array([index.get(b, -1) for b in range(256)], np.int32)
+            codes = lut[buf]
+            foreign = buf[codes < 0]
+            if foreign.size:
+                raise KeyError(int(foreign[0]))
+        else:
+            codes = np.fromiter(
+                map(index.__getitem__, chain.from_iterable(words)), np.int32,
+                int(lengths.sum()))
     except KeyError as exc:
         raise ValueError(
             f"symbol {exc.args[0]!r} not in {alphabet_name}") from None

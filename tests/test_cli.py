@@ -549,6 +549,45 @@ class TestLearnEval:
                       for line in capsys.readouterr().out.splitlines())
         assert report["ratio"] == "0"
 
+    def test_learn_binary_corpus_matches_text_tokens(self, tmp_path):
+        skeleton = tmp_path / "skel.fa"
+        skeleton.write_text(
+            "%Alphabet 0x61 0x62\n%Initial s0\n%Final s0 s1\n"
+            "s0 0x61 s1\ns0 0x62 s0\ns1 0x61 s1\ns1 0x62 s0\n")
+        words = [b"aaa", b"bab", b"ab", b"", b"bbba"]
+        corpus_bin = tmp_path / "corpus.bin"
+        corpus_bin.write_bytes(b"".join(len(w).to_bytes(4, "little") + w
+                                        for w in words))
+        corpus_txt = tmp_path / "corpus.txt"
+        corpus_txt.write_text("".join(" ".join(f"0x{b:02X}" for b in w) + "\n"
+                                      for w in words))
+        out_bin, out_txt = tmp_path / "bin.pa", tmp_path / "txt.pa"
+        assert main(["learn", "--input", str(skeleton), "--format", "bin",
+                     "--corpus", str(corpus_bin),
+                     "--output", str(out_bin)]) == 0
+        assert main(["learn", "--input", str(skeleton),
+                     "--corpus", str(corpus_txt),
+                     "--output", str(out_txt)]) == 0
+        assert out_bin.read_bytes() == out_txt.read_bytes()
+
+    @pytest.mark.parametrize("command, alphabet_name", [
+        ("learn", "skeleton alphabet"), ("eval", "alphabet")])
+    def test_foreign_byte_in_binary_corpus_exit_2(self, tmp_path, capsys,
+                                                  command, alphabet_name):
+        fa = tmp_path / "ab.fa"
+        fa.write_text("%Alphabet 0x61 0x62\n%Initial s0\n%Final s0\n"
+                      "s0 0x61 s0\ns0 0x62 s0\n")
+        corpus = tmp_path / "corpus.bin"
+        corpus.write_bytes(b"\x02\x00\x00\x00ab" + b"\x03\x00\x00\x00bca")
+        argv = (["learn", "--input", str(fa), "--corpus", str(corpus),
+                 "--output", str(tmp_path / "model.pa")]
+                if command == "learn" else
+                ["eval", str(fa), str(fa), "--sample", str(corpus)])
+        assert main([*argv, "--format", "bin"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: symbol 99 not in {alphabet_name}\n"
+
 
 class TestExitCodes:
     def test_missing_file(self, files, capsys):

@@ -184,7 +184,7 @@ class TestCorpora:
         blob = (b"\x02\x00\x00\x00" + b"AB"
                 + b"\x00\x00\x00\x00"
                 + b"\x01\x00\x00\x00" + b"\xff")
-        assert read_corpus_bin(blob) == [(65, 66), (), (255,)]
+        assert read_corpus_bin(blob) == [b"AB", b"", b"\xff"]
 
     def test_bin_truncated(self):
         with pytest.raises(FormatError):

@@ -7,7 +7,10 @@ oracles are ``accepts`` run word by word on the two automata and on that
 DFA, whose states bound the pairs the table holds.  ``count_events`` steps
 every word at once through the skeleton's dense table; the oracle is the
 per-word counting loop.  Both string and byte alphabets are drawn, as text
-and binary corpora give them, and automata with accept-all states.
+and binary corpora give them, and automata with accept-all states.  Over
+byte alphabets, a corpus of ``bytes`` words (the binary reader's form,
+encoded by one table lookup) must give what the same words as tuples
+(encoded symbol by symbol) give, and a foreign byte the same error.
 """
 
 import pytest
@@ -19,7 +22,8 @@ from nfareduce.nfa import _symmetric_difference
 
 from util import BA, eval_table, per_word_count_events, trapped_nfas
 
-ALPHABETS = [("b", "a"), (0x62, 0x00, 0xFF)]
+BYTES = (0x62, 0x00, 0xFF)
+ALPHABETS = [("b", "a"), BYTES]
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -78,6 +82,15 @@ def learn_cases(draw):
     return draw(skeletons(alphabet)), draw(corpora(alphabet))
 
 
+@st.composite
+def byte_cases(draw):
+    """Two automata, a skeleton and a corpus, each over its own order of
+    ``BYTES``."""
+    alphabets = [tuple(draw(st.permutations(BYTES))) for _ in range(3)]
+    return (draw(nfas(alphabets[0])), draw(nfas(alphabets[1])),
+            draw(skeletons(alphabets[2])), draw(corpora(alphabets[0])))
+
+
 @SETTINGS
 @given(eval_cases())
 def test_traffic_error_matches_per_word_accepts(case):
@@ -119,3 +132,41 @@ def test_foreign_symbol_anywhere_is_rejected(case, data):
         traffic_error(a, b, sample)
     with pytest.raises(ValueError, match="not in skeleton alphabet"):
         count_events(data.draw(skeletons(a.alphabet)), sample)
+
+
+@SETTINGS
+@given(byte_cases())
+def test_bytes_words_match_tuple_words(case):
+    a, b, skeleton, corpus = case
+    as_bytes = [bytes(w) for w in corpus]
+    # one tuple word sends the whole corpus symbol by symbol
+    mixed = as_bytes[:-1] + corpus[-1:]
+    want = traffic_error(a, b, corpus)
+    assert traffic_error(a, b, as_bytes) == want
+    assert traffic_error(a, b, mixed) == want
+    want = [x.tolist() for x in count_events(skeleton, corpus)]
+    assert [x.tolist() for x in count_events(skeleton, as_bytes)] == want
+    assert [x.tolist() for x in count_events(skeleton, mixed)] == want
+
+
+@SETTINGS
+@given(byte_cases(), st.data())
+def test_foreign_byte_anywhere_is_rejected_in_both_forms(case, data):
+    a, b, skeleton, corpus = case
+    empty = data.draw(st.integers(0, len(corpus)))
+    corpus.insert(empty, ())
+    # the first word, the last, an empty one, or any
+    i = data.draw(st.one_of(st.sampled_from([0, len(corpus) - 1, empty]),
+                            st.integers(0, len(corpus) - 1)))
+    j = data.draw(st.integers(0, len(corpus[i])))
+    corpus[i] = corpus[i][:j] + (0x61,) + corpus[i][j:]
+    # a later foreign byte, if any, is not the one reported
+    k = data.draw(st.integers(i + 1, len(corpus)))
+    if k < len(corpus):
+        corpus[k] = (0x63,) + corpus[k]
+    for words in corpus, [bytes(w) for w in corpus]:
+        with pytest.raises(ValueError, match="^symbol 97 not in alphabet$"):
+            traffic_error(a, b, words)
+        with pytest.raises(ValueError,
+                           match="^symbol 97 not in skeleton alphabet$"):
+            count_events(skeleton, words)
