@@ -9,14 +9,17 @@ radius is below 1, so the product needs no trimming: the matrix star (the
 sum of all powers of E) equals (I - E)^-1.
 
 The solve is direct at every size: the row vector y = initial . (I - E)^-1
-comes from the transposed system, by dense LU up to ``DENSE_SOLVE_LIMIT``
-product states and by sparse LU with diagonal pivots beyond.  I - E is a
-nonsingular M-matrix, and with a deterministic automaton the rows of E sum
-to at most 1, so the columns of (I - E)^T are diagonally dominant: partial
-pivoting keeps the diagonal pivots, and eliminating on the diagonal keeps
-every Schur complement an M-matrix.  scipy is imported only when a product
-exceeds the dense limit: loading scipy.sparse costs a run more start-up
-time and resident memory than its dense solves do.
+comes from the transposed system, solved block by block over its strongly
+connected components (``_solve``).  A model learned from packet structure
+moves forward through header lines, so its products split into many small
+ones.  Each block takes dense LU up to ``DENSE_SOLVE_LIMIT`` unknowns and
+sparse LU with diagonal pivots beyond.  I - E is a nonsingular M-matrix,
+and with a deterministic automaton the rows of E sum to at most 1, so the
+columns of (I - E)^T are diagonally dominant: partial pivoting keeps the
+diagonal pivots, and eliminating on the diagonal keeps every Schur
+complement an M-matrix, as is each diagonal block.  scipy is imported only
+for a block over the dense limit: loading scipy.sparse costs a run more
+start-up time and resident memory than its dense solves do.
 
 The labellings (``labels``) take y itself (``_solve_y``), on the product
 with a component's DFA or with a state's first-hit DFA.
@@ -31,6 +34,7 @@ from .nfa import DEFAULT_DET_CAP, _explore, determinize, same_alphabet
 from .pa import Ppa
 
 DENSE_SOLVE_LIMIT = 2000
+_BLOCK = 200
 CLAMP_TOL = 1e-9
 
 
@@ -108,10 +112,59 @@ def product_pa_nfa(p, a):
                       sym[perm], dst[perm], weight[perm])
 
 
+def _solve_order(n, rows, cols):
+    """The unknowns of (I - M) x = rhs in a solve order, and the bounds of
+    its blocks: ``order[ends[b]:ends[b + 1]]`` is block b.  An iterative
+    Tarjan over the graph i -> j of M's entries emits each strongly
+    connected component after every one it reaches; consecutive components
+    are merged into blocks of at most ``_BLOCK`` unknowns."""
+    key = np.unique(rows * n + cols)
+    start = np.searchsorted(key, np.arange(n + 1) * n).tolist()
+    dst = (key % n).tolist()
+    # an emitted state gets index n, above every low link, so none takes it
+    index, low = [-1] * n, [0] * n
+    stack, order, ends = [], [], [0]
+    for root in range(n):
+        w = root if index[root] < 0 else None
+        work = []
+        while w is not None or work:
+            if w is not None:
+                # every state seen is on the stack or in the order already
+                index[w] = low[w] = len(order) + len(stack)
+                work.append((w, len(stack), iter(dst[start[w]:start[w + 1]])))
+                stack.append(w)
+            v, at, succ = work[-1]
+            w = None
+            for u in succ:
+                if index[u] < 0:
+                    w = u
+                    break
+                if index[u] < low[v]:
+                    low[v] = index[u]
+            if w is not None:
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                comp = stack[at:]
+                del stack[at:]
+                for u in comp:
+                    index[u] = n
+                # a new block when the open one holds some and would overflow
+                size = len(order) + len(comp) - ends[-1]
+                if len(comp) < size > _BLOCK:
+                    ends.append(len(order))
+                order += comp
+    ends.append(n)
+    return order, ends
+
+
 def _solve(n, rows, cols, weight, rhs):
     """x solving (I - M) x = rhs, where M is n x n with the ``weight``
-    entries summed at (``rows``, ``cols``): dense LU up to
-    ``DENSE_SOLVE_LIMIT`` unknowns, sparse LU with diagonal pivots beyond.
+    entries summed at (``rows``, ``cols``): whole up to ``_BLOCK``
+    unknowns, block by block in ``_solve_order``'s order beyond, each block
+    by ``_lu`` with the x of the blocks before it in its right-hand side.
 
     Every M here is a PA x DFA product's E, transposed for y, or the PA's
     own transition matrix: nonnegative, with rows (or columns) summing to
@@ -119,22 +172,44 @@ def _solve(n, rows, cols, weight, rhs):
     argument needs.
     """
     try:
-        if n <= DENSE_SOLVE_LIMIT:
-            m = np.zeros((n, n))
-            np.add.at(m, (rows, cols), weight)
-            np.negative(m, out=m)
-            m.flat[::n + 1] += 1.0
-            return np.linalg.solve(m, rhs)
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import splu
-        m = (sp.identity(n, format="csc")
-             - sp.csc_matrix((weight, (rows, cols)), shape=(n, n)))
-        return splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True}).solve(rhs)
+        if n <= _BLOCK:
+            return _lu(n, rows, cols, weight, rhs)
+        order, ends = _solve_order(n, rows, cols)
+        rank = np.argsort(order)
+        # the entries in the solve order, grouped by block of their row
+        rows, cols = rank[rows], rank[cols]
+        by_row = np.argsort(rows, kind="stable")
+        rows, cols, weight = rows[by_row], cols[by_row], weight[by_row]
+        cuts = np.searchsorted(rows, ends).tolist()
+        x = rhs[order]
+        for lo, hi, e0, e1 in zip(ends, ends[1:], cuts, cuts[1:]):
+            r, c, w = rows[e0:e1] - lo, cols[e0:e1], weight[e0:e1]
+            inner, out = c >= lo, c < lo
+            x[lo:hi] += np.bincount(r[out], w[out] * x[c[out]],
+                                    minlength=hi - lo)
+            x[lo:hi] = _lu(hi - lo, r[inner], c[inner] - lo, w[inner],
+                           x[lo:hi])
+        return x[rank]
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         # splu reports an exactly singular factor as a RuntimeError
         raise RuntimeError("singular linear system: spectral radius not "
                            "below 1 (internal error)") from exc
+
+
+def _lu(n, rows, cols, weight, rhs):
+    """``_solve``'s system solved whole, by dense or sparse LU."""
+    if n <= DENSE_SOLVE_LIMIT:
+        m = np.zeros((n, n))
+        np.add.at(m, (rows, cols), weight)
+        np.negative(m, out=m)
+        m.flat[::n + 1] += 1.0
+        return np.linalg.solve(m, rhs)
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+    m = (sp.identity(n, format="csc")
+         - sp.csc_matrix((weight, (rows, cols)), shape=(n, n)))
+    return splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True}).solve(rhs)
 
 
 def _solve_y(r):

@@ -37,7 +37,7 @@ class Nfa:
     """
 
     __slots__ = ("num_states", "alphabet", "initial", "final", "name",
-                 "_delta", "_sym_index", "_pred", "_succ")
+                 "_delta", "_sym_index", "_pred", "_succ", "_live")
 
     def __init__(self, num_states, alphabet, transitions=(), initial=(),
                  final=(), name=None):
@@ -74,6 +74,7 @@ class Nfa:
             for src, moves in sorted(delta.items())}
         self._pred = None
         self._succ = None
+        self._live = None
 
     @classmethod
     def _built(cls, num_states, like, delta, initial, final, name=None):
@@ -90,6 +91,7 @@ class Nfa:
         a._delta = delta
         a._pred = None
         a._succ = None
+        a._live = None
         return a
 
     def _check_state(self, q):
@@ -441,7 +443,10 @@ def through_state(a, q):
     initial-to-final path.
     """
     a._check_state(q)
-    live = coreach(a, a.final)
+    if a._live is None:
+        # the states that can reach a final state, kept like ``_pred``
+        a._live = coreach(a, a.final)
+    live = a._live
     # a flag-0 pair must reach q, and q a final state
     to_q = coreach(a, [q]) if q in live else _NO_STATES
 

@@ -3,6 +3,7 @@ language weight oracle; and the brute-force oracle they are checked
 against."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -146,19 +147,25 @@ class TestBfProbLang:
 
 class TestSparseSolvePath:
     def test_large_chain_uses_sparse_direct_solve(self):
-        # a 2050-state chain pushes the product past the dense-solve limit,
-        # onto the sparse LU; the language is a single long word with a
-        # geometric closed form
+        # a 2051-state cycle makes the product one strongly connected
+        # component past the dense-solve limit, solved by the sparse LU;
+        # the language a^n (a^(n+1))* has a geometric closed form
+        import scipy.sparse.linalg
         from nfareduce import Pa
         from nfareduce.langprob import DENSE_SOLVE_LIMIT
         n = 2050
         assert n > DENSE_SOLVE_LIMIT
         cont = 0.999662
         p = Pa(("a",), [1.0], [1.0 - cont], [(0, "a", 0, cont)])
-        chain = Nfa(n + 1, ("a",), [(i, "a", i + 1) for i in range(n)],
-                    [0], [n])
-        assert prob_lang(p, chain) == pytest.approx(
-            cont ** n * (1.0 - cont), rel=1e-12, abs=0.0)
+        cycle = Nfa(n + 1, ("a",), [(i, "a", (i + 1) % (n + 1))
+                                    for i in range(n + 1)], [0], [n])
+        with mock.patch.object(scipy.sparse.linalg, "splu",
+                               wraps=scipy.sparse.linalg.splu) as splu:
+            got = prob_lang(p, cycle)
+        assert splu.call_count == 1
+        assert got == pytest.approx(
+            cont ** n * (1.0 - cont) / (1.0 - cont ** (n + 1)), rel=1e-12,
+            abs=0.0)
 
 
 class TestInvariants:

@@ -3,9 +3,12 @@ references, on random small automata and models.
 
 ``prob_lang`` is held to an mpmath solve of the product with the
 determinized automaton, on the dense and on the sparse path, and so is the
-``weight_lang`` oracle of ``util``.  ``distance`` solves once on the
-symmetric-difference DFA; it is held to inclusion-exclusion carried out in
-mpmath, where the cancellation costs no float digits.
+``weight_lang`` oracle of ``util``.  The solve block by block over strongly
+connected components is held to the whole-system solve and to mpmath, with
+the block size cut down so that these small systems split.  ``distance``
+solves once on the symmetric-difference DFA; it is held to
+inclusion-exclusion carried out in mpmath, where the cancellation costs no
+float digits.
 """
 
 import os
@@ -19,13 +22,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nfareduce
-from nfareduce import (Nfa, Pa, accepts, determinize_with_subsets, distance,
-                       prob_lang)
+from nfareduce import (Nfa, Pa, accepts, determinize, determinize_with_subsets,
+                       distance, prob_lang)
 from nfareduce import langprob
 from nfareduce.nfa import _accept_all, _symmetric_difference
 
-from util import (BA, mp_distance, mp_lang, nfas, trapped_nfas, union,
-                  union_symmetric_difference, weight_lang, words_upto)
+from util import (BA, mp_distance, mp_lang, mp_solve_y, nfas, trapped_nfas,
+                  union, union_symmetric_difference, weight_lang, words_upto)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -74,6 +77,43 @@ def test_prob_and_weight_match_mpmath(p, a):
                                                     abs=0.0)
     assert weight_lang(p, a) == pytest.approx(float(mp_lang(p, a, "unit")),
                                               rel=1e-12, abs=0.0)
+
+
+@st.composite
+def line_pas(draw):
+    """A forward-only PA over BA: 2-4 states in a line, starting at the
+    first.  Each state draws integer weights 0-3 for its self-loops and for
+    its moves to the next state, and 1-3 for its final weight, normalised
+    to sum to 1.  No product with it has a cycle through two PA states, so
+    its products split into several strongly connected components."""
+    n = draw(st.integers(2, 4))
+    final = []
+    transitions = []
+    for q in range(n):
+        stop = draw(st.integers(1, 3))
+        moves = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+        if q == n - 1:
+            moves[2:] = [0, 0]
+        total = stop + sum(moves)
+        final.append(stop / total)
+        transitions += [(q, BA[k % 2], q + k // 2, c / total)
+                        for k, c in enumerate(moves) if c]
+    return Pa(BA, [1.0] + [0.0] * (n - 1), final, transitions)
+
+
+@SETTINGS
+@given(st.one_of(pas(), line_pas()), LIVE_NFAS, st.integers(1, 3))
+def test_block_solve_matches_whole_solve_and_mpmath(p, a, block):
+    dfa = a if langprob._deterministic(a) else determinize(a)
+    r = langprob.product_pa_nfa(p, dfa)
+    whole_y, whole_prob = langprob._solve_y(r), prob_lang(p, a)
+    with mock.patch.object(langprob, "_BLOCK", block):
+        y, prob = langprob._solve_y(r), prob_lang(p, a)
+    assert y.tolist() == pytest.approx(whole_y.tolist(), rel=1e-12, abs=0.0)
+    assert y.tolist() == pytest.approx([float(v) for v in mp_solve_y(r)],
+                                       rel=1e-12, abs=0.0)
+    assert prob == pytest.approx(whole_prob, rel=1e-12, abs=0.0)
+    assert prob == pytest.approx(float(mp_lang(p, a)), rel=1e-12, abs=0.0)
 
 
 @SETTINGS
@@ -140,6 +180,16 @@ def test_singular_system_is_an_internal_error(monkeypatch, limit):
     r = langprob.ProductPpa(BA, ((0, 0),), one, one, zero, zero, zero, one)
     with pytest.raises(RuntimeError, match="singular linear system"):
         langprob._solve_star(r)
+    # the same self-loop on the second state of two, solved one block each:
+    # the first block is regular, the second singular
+    monkeypatch.setattr(langprob, "_BLOCK", 1)
+    r = langprob.ProductPpa(BA, ((0, 0), (0, 1)), np.array([1.0, 0.0]),
+                            np.array([0.5, 1.0]), np.array([0, 1]),
+                            np.array([0, 0]), np.array([1, 1]),
+                            np.array([0.5, 1.0]))
+    assert langprob._solve_order(2, r.dst, r.src) == ([0, 1], [0, 1, 2])
+    with pytest.raises(RuntimeError, match="singular linear system"):
+        langprob._solve_star(r)
 
 
 def test_import_leaves_scipy_out():
@@ -150,3 +200,25 @@ def test_import_leaves_scipy_out():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def test_small_components_leave_scipy_out():
+    # a chain puts a product over the dense limit, but every strongly
+    # connected component of it is one state: no block needs the sparse LU
+    code = """if True:
+        import sys
+        from nfareduce import Nfa, Pa, prob_lang
+        from nfareduce.langprob import DENSE_SOLVE_LIMIT
+        n, cont = DENSE_SOLVE_LIMIT + 50, 0.999662
+        p = Pa(("a",), [1.0], [1.0 - cont], [(0, "a", 0, cont)])
+        chain = Nfa(n + 1, ("a",), [(i, "a", i + 1) for i in range(n)],
+                    [0], [n])
+        print(prob_lang(p, chain) / (cont ** n * (1.0 - cont)),
+              "scipy" in sys.modules)"""
+    src = os.path.dirname(os.path.dirname(nfareduce.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    ratio, imported = out.split()
+    assert float(ratio) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert imported == "False"
