@@ -7,8 +7,7 @@ from .nfa import (DEFAULT_DET_CAP, Nfa, accepts, components, coreach,
                   determinize, determinize_with_subsets, reach, restrict,
                   restrict_with_map, self_loop, through_state, trim,
                   trim_survivors)
-from .pa import (Pa, Ppa, make_p_exp, support, validate_pa, word_prob,
-                 word_weight)
+from .pa import Pa, Ppa, make_p_exp, support, validate_pa, word_prob
 from .langprob import ProductPpa, prob_lang, product_pa_nfa
 from .labels import StateLabelling, label_prune, label_selfloop
 from .reduction import (ReductionConfig, ReductionReport, default_order,
@@ -31,7 +30,6 @@ __all__ = [
     "restrict_with_map", "self_loop", "through_state", "trim",
     "trim_survivors",
     "Pa", "Ppa", "make_p_exp", "support", "validate_pa", "word_prob",
-    "word_weight",
     "ProductPpa", "prob_lang", "product_pa_nfa",
     "StateLabelling", "label_prune", "label_selfloop",
     "ReductionConfig", "ReductionReport", "default_order", "distance",

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: reduce, distance, label, learn, eval.  Reports go to stdout as
-key=value lines; structured outputs (automata, models, label tables) are
-written to files and are byte-identical across runs on the same inputs.
+Subcommands: reduce, distance, label, learn, eval.  Each command returns its
+input files and its report; the report goes to stdout as key=value lines
+and, with ``--manifest``, into a JSON run manifest.  Structured outputs
+(automata, models, label tables) are written to files and are
+byte-identical across runs on the same inputs.
 Exit codes: 0 ok, 2 input error, 3 resource cap exceeded.
 """
 
@@ -25,6 +27,10 @@ from .traffic import complete_dfa, learn_pa, traffic_error
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
+
+# run options; a manifest's config holds those that its command takes
+RUN_OPTIONS = ("type", "label", "mode", "param", "exact", "det_cap",
+               "complete", "format")
 
 
 def _read(path):
@@ -59,20 +65,15 @@ def _digest(path):
     return h.hexdigest()
 
 
-def _emit(pairs):
-    for key, value in pairs:
-        if isinstance(value, float):
-            value = f"{value:.17g}"
-        print(f"{key}={value}")
-
-
-def _write_manifest(args, inputs, config, timings, results):
+def _write_manifest(args, inputs, pairs):
+    timings = {key: value for key, value in pairs if key.endswith("_time_s")}
     manifest = {
         "command": args.raw_argv,
         "inputs": {path: _digest(path) for path in inputs},
-        "config": config,
+        "config": {key: getattr(args, key) for key in RUN_OPTIONS
+                   if hasattr(args, key)},
         "timings": timings,
-        "results": results,
+        "results": {key: value for key, value in pairs if key not in timings},
     }
     _write(args.manifest, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -100,28 +101,15 @@ def cmd_reduce(args):
         ("label_time_s", report.label_time),
         ("reduce_time_s", report.reduce_time),
     ]
-    exact = None
     if args.exact:
         t0 = time.perf_counter()
         try:
             exact = distance(a, report.reduced, p, det_cap=args.det_cap)
-            pairs.append(("exact_distance", exact))
         except CapExceededError:
-            pairs.append(("exact_distance", "infeasible"))
-        pairs.append(("exact_time_s", time.perf_counter() - t0))
-    _emit(pairs)
-    if args.manifest:
-        _write_manifest(
-            args, [args.input, args.model],
-            {"type": args.type, "label": args.label, "mode": args.mode,
-             "param": args.param, "det_cap": args.det_cap},
-            {"label_time_s": report.label_time,
-             "reduce_time_s": report.reduce_time},
-            {"input_states": report.input_size,
-             "output_states": report.output_size,
-             "error_bound": report.error_bound,
-             "exact_distance": exact})
-    return EXIT_OK
+            exact = "infeasible"
+        pairs += [("exact_distance", exact),
+                  ("exact_time_s", time.perf_counter() - t0)]
+    return [args.input, args.model], pairs
 
 
 def cmd_distance(args):
@@ -129,11 +117,7 @@ def cmd_distance(args):
     a2 = _load_nfa(args.second)
     p = _load_pa(args.model)
     d = distance(a1, a2, p, det_cap=args.det_cap)
-    _emit([("distance", d)])
-    if args.manifest:
-        _write_manifest(args, [args.first, args.second, args.model],
-                        {"det_cap": args.det_cap}, {}, {"distance": d})
-    return EXIT_OK
+    return [args.first, args.second, args.model], [("distance", d)]
 
 
 def cmd_label(args):
@@ -147,11 +131,7 @@ def cmd_label(args):
         _write(args.output, text)
     else:
         sys.stdout.write(text)
-    if args.manifest:
-        _write_manifest(args, [args.input, args.model],
-                        {"type": args.type, "label": args.label,
-                         "det_cap": args.det_cap}, {}, {})
-    return EXIT_OK
+    return [args.input, args.model], []
 
 
 def cmd_learn(args):
@@ -161,13 +141,9 @@ def cmd_learn(args):
     corpus = _load_corpus(args.corpus, args.format)
     pa = learn_pa(skeleton, corpus)
     _write(args.output, serialize_pa(pa))
-    _emit([("corpus_words", len(corpus)), ("model_states", pa.num_states),
-           ("output", args.output)])
-    if args.manifest:
-        _write_manifest(args, [args.input, args.corpus],
-                        {"complete": args.complete, "format": args.format},
-                        {}, {"model_states": pa.num_states})
-    return EXIT_OK
+    return [args.input, args.corpus], [("corpus_words", len(corpus)),
+                                       ("model_states", pa.num_states),
+                                       ("output", args.output)]
 
 
 def cmd_eval(args):
@@ -175,13 +151,8 @@ def cmd_eval(args):
     reduced = _load_nfa(args.second)
     sample = _load_corpus(args.sample, args.format)
     mismatches, total, ratio = traffic_error(a, reduced, sample)
-    _emit([("mismatches", mismatches), ("total", total), ("ratio", ratio)])
-    if args.manifest:
-        _write_manifest(args, [args.first, args.second, args.sample],
-                        {"format": args.format}, {},
-                        {"mismatches": mismatches, "total": total,
-                         "ratio": ratio})
-    return EXIT_OK
+    return [args.first, args.second, args.sample], [
+        ("mismatches", mismatches), ("total", total), ("ratio", ratio)]
 
 
 def _det_cap(text):
@@ -199,7 +170,6 @@ def _add_shared(sub):
     sub.add_argument("--model", required=True, help="PA model file")
     sub.add_argument("--det-cap", type=_det_cap, default=DEFAULT_DET_CAP,
                      help="determinization state cap (>= 1)")
-    sub.add_argument("--manifest", help="write a JSON run manifest here")
 
 
 def build_parser():
@@ -247,7 +217,6 @@ def build_parser():
     learn_p.add_argument("--format", choices=("text", "bin"), default="text")
     learn_p.add_argument("--complete", action="store_true",
                          help="complete the skeleton with a sink first")
-    learn_p.add_argument("--manifest", help="write a JSON run manifest here")
     learn_p.set_defaults(func=cmd_learn)
 
     eval_p = subs.add_parser("eval", help="empirical traffic error of a "
@@ -256,9 +225,10 @@ def build_parser():
     eval_p.add_argument("second", help="reduced FA file")
     eval_p.add_argument("--sample", required=True, help="sample words file")
     eval_p.add_argument("--format", choices=("text", "bin"), default="text")
-    eval_p.add_argument("--manifest", help="write a JSON run manifest here")
     eval_p.set_defaults(func=cmd_eval)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--manifest", help="write a JSON run manifest here")
     return parser
 
 
@@ -268,13 +238,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args.raw_argv = argv
     try:
-        return args.func(args)
+        inputs, pairs = args.func(args)
+        for key, value in pairs:
+            print(f"{key}={value:.17g}" if isinstance(value, float)
+                  else f"{key}={value}")
+        if args.manifest:
+            _write_manifest(args, inputs, pairs)
     except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceededError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
+    return EXIT_OK
 
 
 if __name__ == "__main__":

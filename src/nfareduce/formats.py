@@ -71,21 +71,6 @@ def _logical_lines(text):
             yield lineno, line.split()
 
 
-class _StateNames:
-    """Maps state name tokens to dense indices in order of first appearance."""
-
-    def __init__(self):
-        self.index = {}
-
-    def get(self, token):
-        if token not in self.index:
-            self.index[token] = len(self.index)
-        return self.index[token]
-
-    def __len__(self):
-        return len(self.index)
-
-
 def _read_fa(text, weighted):
     """The one pass over the FA text format that ``parse_nfa`` and
     ``parse_pa`` share: the %Alphabet line, unknown directives, the byte
@@ -100,7 +85,7 @@ def _read_fa(text, weighted):
     the transitions, as (src, symbol, dst[, weight]) tuples.
     """
     alphabet = None
-    names = _StateNames()
+    names = {}  # state name token -> index, in order of first appearance
     marked = {"%Initial": [], "%Final": []}
     first_line = {}
     raw_transitions = []
@@ -115,12 +100,13 @@ def _read_fa(text, weighted):
             if not alphabet:
                 raise FormatError(f"line {lineno}: empty alphabet")
         elif head in marked and not weighted:
-            marked[head].extend(names.get(t) for t in tokens[1:])
+            marked[head].extend(names.setdefault(t, len(names))
+                               for t in tokens[1:])
         elif head in marked:
             if len(tokens) != 3:
                 raise FormatError(
                     f"line {lineno}: expected '{head} STATE WEIGHT'")
-            q = names.get(tokens[1])
+            q = names.setdefault(tokens[1], len(names))
             _once(first_line, (head, q), lineno, tokens[:2])
             marked[head].append((q, _parse_weight(tokens[2], lineno)))
         elif head.startswith("%"):
@@ -128,8 +114,9 @@ def _read_fa(text, weighted):
         else:
             if len(tokens) != width:
                 raise FormatError(f"line {lineno}: expected '{shape}'")
-            entry = (names.get(tokens[0]), parse_symbol(tokens[1]),
-                     names.get(tokens[2]))
+            entry = (names.setdefault(tokens[0], len(names)),
+                     parse_symbol(tokens[1]),
+                     names.setdefault(tokens[2], len(names)))
             if weighted:
                 _once(first_line, entry, lineno, tokens[:3])
                 entry += (_parse_weight(tokens[3], lineno),)

@@ -200,12 +200,6 @@ def word_prob(p, word):
     return sum(v * f for v, f in zip(vec, p.final))
 
 
-def word_weight(p, word):
-    """Weight of ``word``: like word_prob but with final weights replaced by
-    all-ones, i.e. the mass still alive after reading the word."""
-    return sum(_propagate(p, word))
-
-
 def make_p_exp(alphabet):
     """One-state PA giving every word w probability mu^(len(w)+1) with
     mu = 1 / (len(alphabet) + 1); an exponential distribution in the length

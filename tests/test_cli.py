@@ -1,5 +1,6 @@
 """End-to-end CLI runs over temporary files."""
 
+import hashlib
 import json
 
 import pytest
@@ -194,18 +195,23 @@ class TestReduce:
     def test_exact_infeasible_under_cap(self, files, tmp_path, capsys):
         # the labels determinize the component (4 subsets), which fits a
         # cap of 4; the exact distance determinizes the union of input and
-        # output (5 subsets), which does not
+        # output (5 subsets), which does not; the manifest records what
+        # stdout reports
         _, _, pa = files
         fa = tmp_path / "four.fa"
         fa.write_text("%Alphabet a b\n%Initial 0\n%Final 1 2 3\n"
                       "0 a 3\n0 b 2\n1 b 2\n2 b 1\n")
+        manifest = tmp_path / "run.json"
         argv = ["reduce", "--type", "prune", "--label", "1",
                 "--mode", "size", "--param", "2",
                 "--input", str(fa), "--model", pa, "--exact"]
-        assert main(argv + ["--det-cap", "4"]) == 0
+        assert main(argv + ["--det-cap", "4",
+                            "--manifest", str(manifest)]) == 0
         report = dict(line.split("=", 1)
                       for line in capsys.readouterr().out.splitlines())
         assert report["exact_distance"] == "infeasible"
+        data = json.loads(manifest.read_text())
+        assert data["results"]["exact_distance"] == "infeasible"
         assert main(argv + ["--det-cap", "5"]) == 0
         report = dict(line.split("=", 1)
                       for line in capsys.readouterr().out.splitlines())
@@ -587,6 +593,50 @@ class TestLearnEval:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: symbol 99 not in {alphabet_name}\n"
+
+
+@pytest.mark.parametrize("argv, config, inputs", [
+    (["reduce", "--type", "prune", "--label", "3", "--mode", "size",
+      "--param", "2", "--input", "a.fa", "--model", "p.pa", "--exact",
+      "--output", "out.fa"],
+     {"type", "label", "mode", "param", "exact", "det_cap"},
+     {"a.fa", "p.pa"}),
+    (["distance", "a.fa", "b.fa", "--model", "p.pa"],
+     {"det_cap"}, {"a.fa", "b.fa", "p.pa"}),
+    (["label", "--type", "selfloop", "--label", "2", "--input", "a.fa",
+      "--model", "p.pa", "--output", "out.tsv"],
+     {"type", "label", "det_cap"}, {"a.fa", "p.pa"}),
+    (["learn", "--input", "skel.fa", "--complete", "--corpus", "words.txt",
+      "--output", "out.pa"],
+     {"complete", "format"}, {"skel.fa", "words.txt"}),
+    (["eval", "a.fa", "b.fa", "--sample", "words.txt"],
+     {"format"}, {"a.fa", "b.fa", "words.txt"}),
+], ids=["reduce", "distance", "label", "learn", "eval"])
+def test_manifest_holds_the_stdout_report(tmp_path, monkeypatch, capsys,
+                                          argv, config, inputs):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.fa").write_text(A2_FA)
+    (tmp_path / "b.fa").write_text(SELFLOOP_TO_3)
+    (tmp_path / "p.pa").write_text(P_EXP_PA)
+    (tmp_path / "skel.fa").write_text(
+        "%Alphabet a b\n%Initial s0\n%Final s1\ns0 a s1\n")
+    (tmp_path / "words.txt").write_text("a b\na\n\nb b a\n")
+    assert main([*argv, "--manifest", "run.json"]) == 0
+    report = dict(line.split("=", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    data = json.loads((tmp_path / "run.json").read_text())
+    assert all(key.endswith("_time_s") for key in data["timings"])
+    recorded = {**data["results"], **data["timings"]}
+    assert set(recorded) == set(report)
+    for key, value in recorded.items():
+        if isinstance(value, float):
+            assert float(report[key]) == value, key
+        else:
+            assert report[key] == str(value), key
+    assert set(data["config"]) == config
+    assert data["inputs"] == {
+        path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+        for path in inputs}
 
 
 class TestExitCodes:

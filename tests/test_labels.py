@@ -5,12 +5,11 @@ import random
 
 import pytest
 
-from nfareduce import (Nfa, label_prune, label_selfloop, make_p_exp,
-                       word_prob, word_weight)
+from nfareduce import Nfa, label_prune, label_selfloop, make_p_exp, word_prob
 
 from util import (AB, a2, banguage_nfa, bf_prob_lang, lang_upto,
                   oracle_labels, random_nfa, random_pa,
-                  self_product_unambiguous, union, words_upto)
+                  self_product_unambiguous, union, word_weight, words_upto)
 
 
 class TestWorkedExamples:

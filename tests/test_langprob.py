@@ -113,8 +113,7 @@ class TestWeightLang:
             assert weight_lang(p, a) >= prob_lang(p, a) - 1e-9
 
     def test_matches_word_weight_sum_on_finite_languages(self):
-        from nfareduce import accepts, word_weight
-        from util import lang_upto, random_nfa as rand_nfa
+        from util import lang_upto, random_nfa as rand_nfa, word_weight
         rng = random.Random(39)
         for _ in range(15):
             p = random_pa(rng, max_states=4)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from nfareduce import (Nfa, Pa, Ppa, make_p_exp, support, trim_survivors,
-                       validate_pa, word_prob, word_weight)
+                       validate_pa, word_prob)
 
-from util import AB, ABC, naive_total_mass, random_pa, words_upto
+from util import (AB, ABC, naive_total_mass, random_pa, word_weight,
+                  words_upto)
 
 
 class TestValidate:

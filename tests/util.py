@@ -11,7 +11,8 @@
   must match.
 - Brute-force oracles kept independent of the library's solver pipeline:
   word enumeration (``bf_prob_lang``, ``naive_lang_prob``), fixed-point
-  reachability, and 40-digit mpmath solves of the library's products.
+  reachability, ``word_weight`` (the mass alive after a word), and 40-digit
+  mpmath solves of the library's products.
 - Language values by the route of an ambiguity check: determinize only
   an ambiguous automaton, then solve on the trimmed PA x NFA product
   (``lang_value``, ``weight_lang``).
@@ -581,6 +582,19 @@ def bf_prob_lang(p, a, max_len):
 
 def naive_total_mass(p, alphabet, max_len):
     return sum(word_prob(p, w) for w in words_upto(alphabet, max_len))
+
+
+def word_weight(p, word):
+    """Weight of ``word``: initial . T_w . 1, the mass still alive after
+    reading it (``word_prob`` with all-one final weights)."""
+    vec = list(p.initial)
+    for sym in word:
+        nxt = [0.0] * p.num_states
+        for src, v in enumerate(vec):
+            for dst, w in p.row(sym, src).items():
+                nxt[dst] += v * w
+        vec = nxt
+    return sum(vec)
 
 
 @st.composite
