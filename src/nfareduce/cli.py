@@ -124,14 +124,18 @@ def cmd_label(args):
     a = _load_nfa(args.input)
     p = _load_pa(args.model)
     fn = label_prune if args.type == "prune" else label_selfloop
+    t0 = time.perf_counter()
     labels = fn(a, p, args.label, det_cap=args.det_cap)
+    label_time = time.perf_counter() - t0
     lines = [f"{q}\t{labels[q]:.17g}" for q in range(len(labels))]
     text = "\n".join(lines) + "\n" if lines else ""
-    if args.output:
-        _write(args.output, text)
-    else:
+    if not args.output:
+        # stdout is the TSV alone
         sys.stdout.write(text)
-    return [args.input, args.model], []
+        return [args.input, args.model], []
+    _write(args.output, text)
+    return [args.input, args.model], [("states", len(labels)),
+                                      ("label_time_s", label_time)]
 
 
 def cmd_learn(args):

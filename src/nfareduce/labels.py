@@ -23,13 +23,14 @@ words whose subset contains q, so:
   reachable from q;
 - sl1(q) is the y . 1 of the pairs whose subset contains q.
 
-The other three labels take small DFAs built per state, each under
-``det_cap``:
+The other three labels take one ``prob_lang`` of a small DFA built per
+state, each under ``det_cap``:
 
-- sl2(q) sums the y of the product with q's first-hit DFA (``first_hit``,
-  in which every subset that holds q becomes {q} and stops) over the
-  pairs on {q}, weighted by each PA state's continuation mass
-  (I - T)^-1 . final;
+- sl2(q) is the probability of q's first-hit words (``first_hit``, the
+  through-state acceptor cut at q, in which every subset that holds q
+  becomes {q} and stops) under the continuation-mass model: the PA with
+  its final weights replaced by z = (I - T)^-1 . final, under which a
+  word weighs the probability that a random word starts with it;
 - p3(q) and the subtrahend of sl3(q) are the words with an accepting run
   through q, which a subset does not tell: one ``prob_lang`` of
   ``through_state``, which determinizes that state's acceptor.
@@ -46,9 +47,10 @@ from .langprob import (_as_prob, _continuation_mass, _solve_y, prob_lang,
 from .nfa import (DEFAULT_DET_CAP, components, determinize_with_subsets,
                   first_hit, reach, restrict_with_map, same_alphabet,
                   through_state)
+from .pa import Ppa
 
-# below this, a tiny negative variant-3 value counts as round-off; beyond,
-# it signals an internal inconsistency
+# below this share of sl2, a negative sl3 counts as round-off; beyond, it
+# signals an internal inconsistency
 NEGATIVE_LABEL_TOL = 1e-6
 
 
@@ -104,21 +106,6 @@ class _Engine:
         return float(self.weight[self.holding[q]].sum())
 
 
-def _first_hit_prob(sub, p, q, z, det_cap):
-    """Probability of the words with a prefix that reaches ``q``: the y of
-    the PA x DFA product of q's first-hit DFA, on the pairs of its one
-    final state {q}, weighted by the continuation mass z of their PA
-    state."""
-    dfa = first_hit(sub, q, det_cap)
-    if not dfa.final:
-        return 0.0
-    (final,) = dfa.final
-    r = product_pa_nfa(p, dfa)
-    pa_of, dfa_of = np.array(r.pair_map, dtype=np.intp).reshape(-1, 2).T
-    hit = dfa_of == final
-    return _as_prob(float(_solve_y(r)[hit] @ z[pa_of[hit]]))
-
-
 def _through(sub, p, det_cap):
     return [prob_lang(p, through_state(sub, q), det_cap)
             for q in range(sub.num_states)]
@@ -143,21 +130,22 @@ def _prune_labels(sub, p, variant, det_cap):
     return [by_targets[targets] for targets in reach_final]
 
 
-def _selfloop_labels(sub, p, variant, det_cap, z):
-    """One self-loop label vector for one (sub-)automaton."""
+def _selfloop_labels(sub, p, variant, det_cap, pz):
+    """One self-loop label vector for one (sub-)automaton; ``pz`` is the
+    continuation-mass model of ``p``."""
     n = sub.num_states
     if variant == 1:
         engine = _Engine(sub, p, det_cap)
         return [engine.weight_of(q) for q in range(n)]
 
-    lab2 = [_first_hit_prob(sub, p, q, z, det_cap) for q in range(n)]
+    lab2 = [prob_lang(pz, first_hit(sub, q, det_cap)) for q in range(n)]
     if variant == 2:
         return lab2
 
     values = []
     for q, through in enumerate(_through(sub, p, det_cap)):
         val = lab2[q] - through
-        if val < -NEGATIVE_LABEL_TOL:
+        if val < -NEGATIVE_LABEL_TOL * lab2[q]:
             raise RuntimeError(
                 f"self-loop label 3 of state {q} is {val!r}; expected >= 0 "
                 "(internal error)")
@@ -169,13 +157,14 @@ def _label(a, p, variant, kind, det_cap):
     if variant not in (1, 2, 3):
         raise ValueError(f"label variant must be 1, 2 or 3, got {variant!r}")
     same_alphabet(p, a)
-    z = (_continuation_mass(p) if kind == "selfloop" and variant > 1
-         else None)
+    # the words under pz weigh the probability of their extensions
+    pz = (Ppa(p.alphabet, p.initial, _continuation_mass(p).tolist(),
+              p.entries()) if kind == "selfloop" and variant > 1 else None)
     values = [0.0] * a.num_states
     for comp in components(a):
         sub, origins = restrict_with_map(a, comp)
         local = (_prune_labels(sub, p, variant, det_cap) if kind == "prune"
-                 else _selfloop_labels(sub, p, variant, det_cap, z))
+                 else _selfloop_labels(sub, p, variant, det_cap, pz))
         for orig_q, value in zip(origins, local):
             values[orig_q] = value
     prefix = "p" if kind == "prune" else "sl"
@@ -203,8 +192,8 @@ def label_selfloop(a, p, variant, det_cap=DEFAULT_DET_CAP):
     subtracts from variant 2 the mass already accepted through q (tiny
     negative round-off is clamped to zero).  Variant 1 determinizes each
     component once, under ``det_cap``; variant 2 builds each state's
-    first-hit DFA instead, under the same cap, and variant 3 also
-    determinizes each state's through-state acceptor, as prune variant 3
-    does.
+    first-hit DFA instead, under the same cap, and takes its probability
+    under the continuation-mass model; variant 3 also determinizes each
+    state's through-state acceptor, as prune variant 3 does.
     """
     return _label(a, p, variant, "selfloop", det_cap)

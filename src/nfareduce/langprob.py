@@ -21,8 +21,10 @@ complement an M-matrix, as is each diagonal block.  scipy is imported only
 for a block over the dense limit: loading scipy.sparse costs a run more
 start-up time and resident memory than its dense solves do.
 
-The labellings (``labels``) take y itself (``_solve_y``), on the product
-with a component's DFA or with a state's first-hit DFA.
+The labelling engine (``labels``) takes y itself (``_solve_y``), on the
+product with a component's DFA.  The other labels are ``prob_lang`` calls;
+sl2's is under the continuation-mass model, the PA with its final weights
+replaced by ``_continuation_mass``, on a state's first-hit DFA.
 """
 
 from dataclasses import dataclass

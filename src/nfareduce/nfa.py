@@ -6,7 +6,9 @@ alphabet is an ordered tuple, and every operation iterates states ascending
 and symbols in alphabet order, so outputs are reproducible bit for bit.
 
 Automata are immutable values: operations return new automata and never
-mutate their inputs, which makes them safe to share across threads.
+mutate their inputs.  The maps derived from an automaton (``_pred``,
+``_succ``, ``_live``) are filled in place on first use and kept; the package
+starts no threads.
 
 Every construction that builds a new automaton is one breadth-first
 worklist (``_explore``) over the per-state transition store, and every
@@ -431,27 +433,25 @@ def determinize(a, cap=DEFAULT_DET_CAP):
     return determinize_with_subsets(a, cap, traps=_accept_all(a))[0]
 
 
-def through_state(a, q):
-    """Automaton accepting exactly the words with an accepting run passing
-    through ``q``: the concatenation of q's back-language and language.
-
-    States are (state, flag) pairs; the flag flips to 1 upon entering
-    ``q`` and accepting requires flag 1 at a final state.  Only the useful
-    pairs are built: flag 0 on the states that can reach ``q``, flag 1 on
-    those reachable from ``q`` that can reach a final state, and none at
-    all when ``q`` cannot reach one.  Every state of the result is on an
-    initial-to-final path.
-    """
+def _through_acceptor(a, q, cut):
+    """The (state, flag) acceptor of the words with a run through ``q``,
+    behind ``through_state`` and ``first_hit``.  Flag 1 means the run has
+    reached ``q``.  Only useful pairs are built: flag 0 on the states that
+    can reach ``q``.  Uncut, flag 1 is on the states reachable from ``q``
+    that can reach a final state, and accepting requires flag 1 at a final
+    state; there are no pairs at all when ``q`` cannot reach one.  Cut,
+    (q, 1) is the one final pair and has no moves."""
     a._check_state(q)
     if a._live is None:
         # the states that can reach a final state, kept like ``_pred``
         a._live = coreach(a, a.final)
-    live = a._live
-    # a flag-0 pair must reach q, and q a final state
-    to_q = coreach(a, [q]) if q in live else _NO_STATES
+    to_q = coreach(a, [q]) if cut or q in a._live else _NO_STATES
+    live = to_q if cut else a._live
 
     def step(node):
         s, flag = node
+        if flag and cut:
+            return
         for sym, dsts in a.moves(s):
             for d in dsts:
                 if flag or d == q:
@@ -463,9 +463,16 @@ def through_state(a, q):
     starts = [(i, 1 if i == q else 0) for i in sorted(a.initial) if i in to_q]
     nodes, edges = _explore(starts, step)
     final = [i for i, (s, flag) in enumerate(nodes)
-             if flag and s in a.final]
+             if flag and (cut or s in a.final)]
     return Nfa._built(len(nodes), a, _store(edges), range(len(starts)),
                       final)
+
+
+def through_state(a, q):
+    """Automaton accepting exactly the words with an accepting run passing
+    through ``q``: the concatenation of q's back-language and language.
+    Every state of the result is on an initial-to-final path."""
+    return _through_acceptor(a, q, cut=False)
 
 
 def first_hit(a, q, cap=DEFAULT_DET_CAP):
@@ -473,27 +480,13 @@ def first_hit(a, q, cap=DEFAULT_DET_CAP):
     does: each word with a prefix in q's back-language has exactly one
     such prefix.
 
-    It is the subset construction of q's back-language acceptor (the
-    states that can reach q, with q final and without moves), with q as
-    the trap: a subset that holds q becomes {q}, the one final state, and
-    stops there.  Raises DeterminizationCapError when more than ``cap``
-    subsets appear.
+    It is the subset construction of the through-state acceptor cut at
+    ``q`` (its flag-0 pairs, then (q, 1), final and without moves), with
+    (q, 1) as the trap: a subset that holds it becomes that pair alone,
+    the one final state, and stops there.  Raises DeterminizationCapError
+    when more than ``cap`` subsets appear.
     """
-    a._check_state(q)
-    to_q = coreach(a, [q])
-
-    def back(s):
-        if s != q:
-            for sym, dsts in a.moves(s):
-                for d in dsts:
-                    if d in to_q:
-                        yield sym, d
-
-    starts = sorted(a.initial & to_q)
-    nodes, edges = _explore(starts, back)
-    # every start can reach q, so q is a node when there is a start
-    acceptor = Nfa._built(len(nodes), a, _store(edges), range(len(starts)),
-                          [nodes.index(q)] if nodes else ())
+    acceptor = _through_acceptor(a, q, cut=True)
     return determinize_with_subsets(acceptor, cap, traps=acceptor.final)[0]
 
 

@@ -637,6 +637,11 @@ def test_manifest_holds_the_stdout_report(tmp_path, monkeypatch, capsys,
     assert data["inputs"] == {
         path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
         for path in inputs}
+    if argv[0] == "label":
+        # one label per TSV line, timed like reduce's labelling
+        tsv = (tmp_path / "out.tsv").read_text().splitlines()
+        assert data["results"]["states"] == len(tsv)
+        assert "label_time_s" in data["timings"]
 
 
 class TestExitCodes:

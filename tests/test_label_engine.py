@@ -1,16 +1,17 @@
 """The labellings against the per-state oracle they replace.
 
 The labelling engine reads p1, p2 and sl1 off one determinization and one
-PA x DFA product per component; sl2 takes, per state, the product of its
-first-hit DFA, on which the subsets that hold the state stop.  p3 and sl3
-take one ``prob_lang`` of a trimmed through-state acceptor per state, on
-its DFA; sl3 is sl2 less that.  The oracle in ``util`` runs one language
-probability per final state, final set or state; for p3 and sl3 it takes
-the untrimmed acceptor, determinized only when it is ambiguous, on a
-trimmed product.  The two sides solve different products, so they agree
-to round-off: 1e-12 relative.  sl3 is a difference, sl2 less the words
-through q, so its round-off is that of the sl2 it is taken from.  Every
-product the labellings and ``distance`` build is on a DFA.
+PA x DFA product per component; sl2 takes, per state, one ``prob_lang`` of
+its first-hit DFA, on which the subsets that hold the state stop, under
+the continuation-mass model.  p3 and sl3 take one ``prob_lang`` of a
+trimmed through-state acceptor per state, on its DFA; sl3 is sl2 less
+that.  The oracle in ``util`` runs one language probability per final
+state, final set or state; for p3 and sl3 it takes the untrimmed acceptor,
+determinized only when it is ambiguous, on a trimmed product.  The two
+sides solve different products, so they agree to round-off: 1e-12
+relative.  sl3 is a difference, sl2 less the words through q, so its
+round-off is that of the sl2 it is taken from.  Every product the
+labellings and ``distance`` build is on a DFA.
 """
 
 import random
@@ -113,6 +114,31 @@ def test_selfloop_runs_no_engine(monkeypatch, variant):
     first_hits = [b for b, _ in calls if b not in acceptors]
     assert (len(first_hits), len(through)) == (8, 0 if variant == 2 else 8)
     assert not any(b in subs for b in first_hits)
+
+
+@pytest.mark.parametrize("kind, variant, per_state, engine_solves", [
+    ("prune", 1, 0, 2), ("prune", 2, 0, 2), ("prune", 3, 1, 0),
+    ("selfloop", 1, 0, 2), ("selfloop", 2, 1, 0), ("selfloop", 3, 2, 0)])
+def test_one_route_per_label(monkeypatch, kind, variant, per_state,
+                             engine_solves):
+    # p1, p2 and sl1 solve one y per component, the engine's; every other
+    # label is prob_lang calls: one per state for p3 and sl2 (on the
+    # first-hit DFA, under the continuation-mass model), two for sl3
+    counts = {"prob_lang": 0, "_solve_y": 0}
+    for name in counts:
+        fn = getattr(labels, name)
+
+        def counted(*args, _fn=fn, _name=name, **kw):
+            counts[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(labels, name, counted)
+    p = random_pa(random.Random(7), max_states=3, alphabet=BA)
+    a = two_components()
+    fn = label_prune if kind == "prune" else label_selfloop
+    fn(a, p, variant)
+    assert counts == {"prob_lang": per_state * a.num_states,
+                      "_solve_y": engine_solves}
 
 
 def deterministic(a):

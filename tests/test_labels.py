@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from nfareduce import Nfa, label_prune, label_selfloop, make_p_exp, word_prob
+from nfareduce import (Nfa, label_prune, label_selfloop, labels, make_p_exp,
+                       word_prob)
 
 from util import (AB, a2, banguage_nfa, bf_prob_lang, lang_upto,
                   oracle_labels, random_nfa, random_pa,
@@ -74,6 +75,26 @@ class TestChains:
             l2 = label_prune(a, p, 2)
             for q in range(a.num_states):
                 assert l1[q] == pytest.approx(l2[q], abs=1e-9)
+
+    def test_selfloop3_rejects_small_negative_labels(self, monkeypatch):
+        # a^16 into an accept-all state: there sl2 equals p3 and both are
+        # 3^-16, far below 1e-6, so a p3 1 % too high makes sl3 negative by
+        # much less than 1e-6 in absolute terms, yet by 1 % of sl2
+        n = 16
+        a = Nfa(n + 1, AB,
+                [(q, "a", q + 1) for q in range(n)]
+                + [(n, s, n) for s in AB], [0], [n])
+        p = make_p_exp(AB)
+        sl2 = label_selfloop(a, p, 2)
+        assert sl2[n] < 1e-6
+        assert label_selfloop(a, p, 3)[n] == pytest.approx(0.0, abs=1e-22)
+        through = labels._through
+        monkeypatch.setattr(
+            labels, "_through",
+            lambda sub, p, det_cap: [1.01 * x
+                                     for x in through(sub, p, det_cap)])
+        with pytest.raises(RuntimeError, match="internal error"):
+            label_selfloop(a, p, 3)
 
 
 class TestComponentWise:

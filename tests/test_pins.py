@@ -94,9 +94,10 @@ SPARSE = {
 }
 
 # solves behind the values above, on either path: language solves on a
-# product, one y per component DFA product (p1, p2 and sl1), and one y per
-# state's first-hit DFA product, whose subsets that hold the state absorb
-# (sl2, and sl2 again under sl3)
+# product, one y per component DFA product (p1, p2 and sl1), and one
+# language solve per state's first-hit DFA product under the
+# continuation-mass model, whose subsets that hold the state absorb (sl2,
+# and sl2 again under sl3)
 SOLVES = 16
 DFA_PRODUCTS = 3
 ABSORBING = 14
@@ -133,9 +134,9 @@ def test_values_bit_for_bit(monkeypatch, limit, want):
         for variant in (1, 2, 3):
             values = fn(a, p, variant).values
             assert tuple(x.hex() for x in values) == want[f"{kind}{variant}"]
-    # a y solve behind each language solve, each component DFA product
-    # and each first-hit DFA product
-    assert (len(stars), len(ys)) == (SOLVES,
+    # a y solve behind each language solve, first-hit ones included, and
+    # each component DFA product
+    assert (len(stars), len(ys)) == (SOLVES + ABSORBING,
                                      SOLVES + DFA_PRODUCTS + ABSORBING)
     for (r,), value in stars:
         assert value == pytest.approx(float(mp_solve_star(r)), rel=1e-12,
