@@ -2,7 +2,8 @@
 
 Subcommands: reduce, distance, label, learn, eval.  Each command returns its
 input files and its report; the report goes to stdout as key=value lines
-and, with ``--manifest``, into a JSON run manifest.  Structured outputs
+(except for ``label`` without ``--output``, whose stdout is its TSV) and,
+with ``--manifest``, into a JSON run manifest.  Structured outputs
 (automata, models, label tables) are written to files and are
 byte-identical across runs on the same inputs.
 Exit codes: 0 ok, 2 input error, 3 resource cap exceeded.
@@ -129,11 +130,10 @@ def cmd_label(args):
     label_time = time.perf_counter() - t0
     lines = [f"{q}\t{labels[q]:.17g}" for q in range(len(labels))]
     text = "\n".join(lines) + "\n" if lines else ""
-    if not args.output:
-        # stdout is the TSV alone
+    if args.output:
+        _write(args.output, text)
+    else:
         sys.stdout.write(text)
-        return [args.input, args.model], []
-    _write(args.output, text)
     return [args.input, args.model], [("states", len(labels)),
                                       ("label_time_s", label_time)]
 
@@ -243,9 +243,12 @@ def main(argv=None):
     args.raw_argv = argv
     try:
         inputs, pairs = args.func(args)
-        for key, value in pairs:
-            print(f"{key}={value:.17g}" if isinstance(value, float)
-                  else f"{key}={value}")
+        # label without --output writes its TSV to stdout, which stays the
+        # TSV alone: its report goes to the manifest only
+        if args.func is not cmd_label or args.output:
+            for key, value in pairs:
+                print(f"{key}={value:.17g}" if isinstance(value, float)
+                      else f"{key}={value}")
         if args.manifest:
             _write_manifest(args, inputs, pairs)
     except (OSError, ValueError) as exc:  # FormatError is a ValueError

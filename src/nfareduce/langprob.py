@@ -8,6 +8,11 @@ dominated entry by entry by the PA's own transition matrix, whose spectral
 radius is below 1, so the product needs no trimming: the matrix star (the
 sum of all powers of E) equals (I - E)^-1.
 
+The product (``product_pa_nfa``) is one ``_explore`` over pairs numbered
+by one integer each, whose edges are labelled by the PA transition they
+take, so it allocates no tuple per edge; the PA's rows and edge table are
+built once per PA and alphabet order (``_pa_edges``).
+
 The solve is direct at every size: the row vector y = initial . (I - E)^-1
 comes from the transposed system, solved block by block over its strongly
 connected components (``_solve``).  A model learned from packet structure
@@ -69,6 +74,27 @@ class ProductPpa:
                        self.weight.tolist()))
 
 
+def _pa_edges(p, alphabet):
+    """``p``'s transitions for a product over ``alphabet``: per PA state,
+    ``symbol -> ((edge, target), ...)`` with symbols in the order of
+    ``alphabet`` and targets ascending, and the edge table, the alphabet
+    index and weight of each numbered edge.  Built once per PA and alphabet
+    order and kept, like ``Nfa._pred``."""
+    if p._edges is None or p._edges[0] != alphabet:
+        order = {sym: k for k, sym in enumerate(alphabet)}
+        rows = [{} for _ in range(p.num_states)]
+        syms, weights = [], []
+        for sym in sorted(p._trans, key=order.__getitem__):
+            k = order[sym]
+            for qp, row in p._trans[sym].items():
+                rows[qp][sym] = tuple(enumerate(row, len(syms)))
+                syms += [k] * len(row)
+                weights += row.values()
+        p._edges = (alphabet, rows, np.array(syms, dtype=np.intp),
+                    np.array(weights, dtype=float))
+    return p._edges[1:]
+
+
 def product_pa_nfa(p, a):
     """Product of PA ``p`` and automaton ``a`` over the pairs reachable
     from the initial pairs, untrimmed.
@@ -78,36 +104,49 @@ def product_pa_nfa(p, a):
     final, with the PA final weight, when the automaton state is final.  If
     ``a`` is deterministic the product assigns every word of L(a) its PA
     probability and every other word 0, and I - E is nonsingular.
+
+    ``_explore`` numbers the pair (qp, qa) as the integer qp * n + qa, with
+    n the states of ``a``, and labels each edge with the number of its PA
+    transition in ``_pa_edges``' table, so an edge allocates no tuple.  A
+    pair walks the shorter of its PA state's symbols and its automaton
+    state's moves; both are in alphabet order, so the pairs are found in
+    the same order either way.
     """
     same_alphabet(p, a)
-    rows = p._trans
-    order = a._sym_index
+    rows, edge_sym, edge_weight = _pa_edges(p, a.alphabet)
+    delta = a._delta
+    n = a.num_states
 
-    def step(pair):
-        qp, qa = pair
-        for sym, dsts in a.moves(qa):
-            row = rows.get(sym)
-            row = row.get(qp) if row is not None else None
-            if row:
-                k = order[sym]
-                for qa2 in dsts:
-                    for qp2, w in row.items():
-                        yield (k, w), (qp2, qa2)
+    def step(key):
+        qp, qa = divmod(key, n)
+        row = rows[qp]
+        moves = delta.get(qa)
+        if not row or not moves:
+            return
+        if len(row) < len(moves):
+            hits = [(moves[sym], out) for sym, out in row.items()
+                    if sym in moves]
+        else:
+            hits = [(dsts, row[sym]) for sym, dsts in moves.items()
+                    if sym in row]
+        for dsts, out in hits:
+            for qa2 in dsts:
+                for e, qp2 in out:
+                    yield e, qp2 * n + qa2
 
-    starts = [(qp, qa) for qp in range(p.num_states) if p.initial[qp] > 0.0
-              for qa in sorted(a.initial)]
-    pairs, edges = _explore(starts, step)
+    starts = [qp * n + qa for qp in range(p.num_states)
+              if p.initial[qp] > 0.0 for qa in sorted(a.initial)]
+    keys, (src, labels, dst) = _explore(starts, step)
+    pairs = [divmod(key, n) for key in keys]
     initial = np.array([p.initial[qp]
                         if qa in a.initial and p.initial[qp] > 0.0 else 0.0
                         for qp, qa in pairs])
     final = np.array([p.final[qp] if qa in a.final and p.final[qp] > 0.0
                       else 0.0 for qp, qa in pairs])
-    # comprehensions, not zip(*edges): zip makes one garbage-collected
-    # iterator per edge, and large products then trigger full collections
-    src = np.array([i for i, _label, _j in edges], dtype=np.intp)
-    dst = np.array([j for _i, _label, j in edges], dtype=np.intp)
-    sym = np.array([label[0] for _i, label, _j in edges], dtype=np.intp)
-    weight = np.array([label[1] for _i, label, _j in edges], dtype=float)
+    src = np.array(src, dtype=np.intp)
+    dst = np.array(dst, dtype=np.intp)
+    labels = np.array(labels, dtype=np.intp)
+    sym, weight = edge_sym[labels], edge_weight[labels]
     # the order of Ppa.entries(): by source, alphabet index, target
     perm = np.lexsort((dst, sym, src))
     return ProductPpa(a.alphabet, tuple(pairs), initial, final, src[perm],

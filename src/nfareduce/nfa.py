@@ -11,7 +11,8 @@ mutate their inputs.  The maps derived from an automaton (``_pred``,
 starts no threads.
 
 Every construction that builds a new automaton is one breadth-first
-worklist (``_explore``) over the per-state transition store, and every
+worklist (``_explore``) over the per-state transition store, which returns
+its edges as three flat lists rather than a tuple per edge, and every
 reachability question is one closure (``_closure``).  Every subset
 construction steps subsets with ``_subset_step``, whose one trap rule
 turns a subset that holds a trap into the smallest trap alone.  The
@@ -164,10 +165,11 @@ def _explore(starts, step, cap=None):
     """Breadth-first worklist that numbers keys in discovery order.
 
     ``starts`` are numbered first, in the order given; ``step(key)`` yields
-    the (label, successor key) pairs of a key.  Returns ``(keys, edges)``:
-    the keys by number and the (src number, label, dst number) edges in the
-    order they were found.  Raises DeterminizationCapError when a new key
-    would exceed ``cap`` keys.
+    the (label, successor key) pairs of a key.  Returns ``(keys, (src,
+    labels, dst))``: the keys by number and the edges in the order they
+    were found, as three flat lists, so an edge costs three list slots and
+    no tuple.  Raises DeterminizationCapError when a new key would exceed
+    ``cap`` keys.
     """
     index = {}
     keys = []
@@ -175,7 +177,7 @@ def _explore(starts, step, cap=None):
         if key not in index:
             index[key] = len(keys)
             keys.append(key)
-    edges = []
+    src, labels, dst = [], [], []
     i = 0
     while i < len(keys):
         for label, key in step(keys[i]):
@@ -185,9 +187,11 @@ def _explore(starts, step, cap=None):
                     raise DeterminizationCapError(cap)
                 j = index[key] = len(keys)
                 keys.append(key)
-            edges.append((i, label, j))
+            src.append(i)
+            labels.append(label)
+            dst.append(j)
         i += 1
-    return keys, edges
+    return keys, (src, labels, dst)
 
 
 def _closure(seeds, neighbors):
@@ -215,14 +219,15 @@ def _predecessors(a):
 
 
 def _store(edges):
-    """Per-state store from ``_explore`` edges: they come grouped by
-    ascending source and, per source, with labels in alphabet order.
+    """Per-state store from ``_explore``'s flat edge lists, zipped: the
+    edges come grouped by ascending source and, per source, with labels in
+    alphabet order.
     Successor tuples are built directly (no list per entry), and only the
     entries with several successors are sorted afterwards."""
     delta = {}
     several = []
     last = None
-    for i, sym, j in edges:
+    for i, sym, j in zip(*edges):
         if i != last:
             moves = delta[i] = {}
             last = i

@@ -20,7 +20,7 @@ class Ppa:
     """Pseudo-probabilistic automaton: nonnegative weights, no constraints."""
 
     __slots__ = ("num_states", "alphabet", "initial", "final", "name",
-                 "_trans", "_sym_index")
+                 "_trans", "_sym_index", "_edges")
 
     def __init__(self, alphabet, initial, final, transitions=(), name=None):
         """``transitions`` is an iterable of (src, symbol, dst, weight)
@@ -43,6 +43,9 @@ class Ppa:
         self.initial = initial
         self.final = final
         self.name = name
+        # the product's view of the transitions, filled on first use
+        # (``langprob._pa_edges``)
+        self._edges = None
 
         trans = {}
         for src, sym, dst, w in transitions:

@@ -606,12 +606,15 @@ class TestLearnEval:
     (["label", "--type", "selfloop", "--label", "2", "--input", "a.fa",
       "--model", "p.pa", "--output", "out.tsv"],
      {"type", "label", "det_cap"}, {"a.fa", "p.pa"}),
+    (["label", "--type", "selfloop", "--label", "2", "--input", "a.fa",
+      "--model", "p.pa"],
+     {"type", "label", "det_cap"}, {"a.fa", "p.pa"}),
     (["learn", "--input", "skel.fa", "--complete", "--corpus", "words.txt",
       "--output", "out.pa"],
      {"complete", "format"}, {"skel.fa", "words.txt"}),
     (["eval", "a.fa", "b.fa", "--sample", "words.txt"],
      {"format"}, {"a.fa", "b.fa", "words.txt"}),
-], ids=["reduce", "distance", "label", "learn", "eval"])
+], ids=["reduce", "distance", "label", "label-stdout", "learn", "eval"])
 def test_manifest_holds_the_stdout_report(tmp_path, monkeypatch, capsys,
                                           argv, config, inputs):
     monkeypatch.chdir(tmp_path)
@@ -622,26 +625,34 @@ def test_manifest_holds_the_stdout_report(tmp_path, monkeypatch, capsys,
         "%Alphabet a b\n%Initial s0\n%Final s1\ns0 a s1\n")
     (tmp_path / "words.txt").write_text("a b\na\n\nb b a\n")
     assert main([*argv, "--manifest", "run.json"]) == 0
-    report = dict(line.split("=", 1)
-                  for line in capsys.readouterr().out.splitlines())
+    out = capsys.readouterr().out
     data = json.loads((tmp_path / "run.json").read_text())
     assert all(key.endswith("_time_s") for key in data["timings"])
+    assert set(data["config"]) == config
+    assert data["inputs"] == {
+        path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+        for path in inputs}
     recorded = {**data["results"], **data["timings"]}
+    if argv[0] == "label":
+        # one label per TSV line, timed like reduce's labelling
+        to_stdout = "--output" not in argv
+        tsv = out if to_stdout else (tmp_path / "out.tsv").read_text()
+        lines = tsv.splitlines()
+        assert [line.split("\t")[0] for line in lines] == [
+            str(q) for q in range(len(lines))]
+        assert data["results"]["states"] == len(lines)
+        assert "label_time_s" in data["timings"]
+        if to_stdout:
+            # stdout is the TSV alone, so the report is in the manifest only
+            assert set(recorded) == {"states", "label_time_s"}
+            return
+    report = dict(line.split("=", 1) for line in out.splitlines())
     assert set(recorded) == set(report)
     for key, value in recorded.items():
         if isinstance(value, float):
             assert float(report[key]) == value, key
         else:
             assert report[key] == str(value), key
-    assert set(data["config"]) == config
-    assert data["inputs"] == {
-        path: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
-        for path in inputs}
-    if argv[0] == "label":
-        # one label per TSV line, timed like reduce's labelling
-        tsv = (tmp_path / "out.tsv").read_text().splitlines()
-        assert data["results"]["states"] == len(tsv)
-        assert "label_time_s" in data["timings"]
 
 
 class TestExitCodes:

@@ -1,19 +1,30 @@
 """The fast paths of the language-probability pipeline against the
 constructions they replace, on random small automata and models.
 
-``prob_lang`` tells a deterministic automaton by one pass over the store;
-such an automaton is unambiguous by the self-product oracle.
-``product_pa_nfa`` writes its entries straight to arrays; the oracle
-builds a ``Ppa`` transition by transition.  The subset construction and
-``through_state`` fill the transition store without re-validation;
-rebuilding them through ``Nfa.__init__`` must give the same automaton.
+``_explore`` returns its edges as three flat lists and still numbers keys
+in discovery order.  ``prob_lang`` tells a deterministic automaton by one
+pass over the store; such an automaton is unambiguous by the self-product
+oracle.  ``product_pa_nfa`` numbers its pairs by integers, labels its edges
+by PA transition and walks the shorter of a pair's two symbol sets, with
+the PA's rows kept per alphabet order; the oracle builds a ``Ppa``
+transition by transition, and the two must agree bit for bit, on
+hypothesis' small PAs and on a seeded 40-state NFA whose product walks
+both sides.  The subset construction and ``through_state`` fill the
+transition store without re-validation; rebuilding them through
+``Nfa.__init__`` must give the same automaton.
 """
 
+import random
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfareduce import Nfa, Ppa, determinize, product_pa_nfa, through_state
+from nfareduce.errors import DeterminizationCapError
 from nfareduce.langprob import _deterministic
+from nfareduce.nfa import _explore
 
 from util import BA, dfas, nfas, ppa_product, self_product_unambiguous
 
@@ -71,3 +82,72 @@ def test_direct_built_automata_equal_validated_ones(a, data):
         triples = list(x.transitions())
         assert triples == sorted(triples, key=entry_key(x))
         assert triples == list(rebuilt.transitions())
+
+
+def test_explore_numbers_keys_in_discovery_order():
+    def step(k):
+        yield "x", 2 * k % 10
+        yield "y", (2 * k + 1) % 10
+
+    keys, (src, labels, dst) = _explore([3, 3, 1], step, cap=10)
+    assert keys == [3, 1, 6, 7, 2, 4, 5, 8, 9, 0]
+    assert src == [i for i in range(10) for _ in "xy"]
+    assert labels == ["x", "y"] * 10
+    assert dst == [keys.index(d) for k in keys
+                   for d in (2 * k % 10, (2 * k + 1) % 10)]
+    with pytest.raises(DeterminizationCapError):
+        _explore([3, 3, 1], step, cap=9)
+
+
+def seeded_product_case(seed=20):
+    """A 40-state NFA over eight symbols, with four initial states and one
+    to three successors per symbol, and a 5-state PPA whose states move
+    on eight, four, two, one and no symbols, so that the product has
+    pairs where either side has fewer symbols than the other."""
+    rng = random.Random(seed)
+    syms = tuple("abcdefgh")
+    n = 40
+    transitions = [(q, sym, d) for q in range(n)
+                   for sym in rng.sample(syms, rng.randint(1, len(syms)))
+                   for d in rng.sample(range(n), rng.randint(1, 3))]
+    a = Nfa(n, syms, transitions, rng.sample(range(n), 4),
+            rng.sample(range(n), 10))
+    weights = [(qp, sym, qp2, rng.randint(1, 8) / 64)
+               for qp, k in enumerate((8, 4, 2, 1, 0))
+               for sym in rng.sample(syms, k)
+               for qp2 in rng.sample(range(5), rng.randint(1, 3))]
+    p = Ppa(syms, [0.25, 0.0, 0.5, 0.25, 0.0],
+            [0.125, 0.5, 0.25, 0.0, 1.0], weights)
+    return p, a
+
+
+def test_seeded_product_matches_ppa_construction_bit_for_bit():
+    p, a = seeded_product_case()
+    # the same automaton over the reversed alphabet order
+    rev = Nfa(a.num_states, a.alphabet[::-1], a.transitions(), a.initial,
+              a.final)
+    # alternate the orders on one PPA, so rows kept for the wrong order fail
+    for b in (a, rev, a, rev):
+        got = product_pa_nfa(p, b)
+        want, pair_map = ppa_product(p, b, trimmed=False)
+        assert got.pair_map == pair_map
+        entries = list(want.entries())
+        expected = {
+            "initial": np.array(want.initial, dtype=float),
+            "final": np.array(want.final, dtype=float),
+            "src": np.array([e[0] for e in entries], dtype=np.intp),
+            "sym": np.array([b.alphabet.index(e[1]) for e in entries],
+                            dtype=np.intp),
+            "dst": np.array([e[2] for e in entries], dtype=np.intp),
+            "weight": np.array([e[3] for e in entries], dtype=float),
+        }
+        for name, arr in expected.items():
+            value = getattr(got, name)
+            assert value.dtype == arr.dtype, name
+            assert value.tobytes() == arr.tobytes(), name
+        # both sides of the shorter-side walk are taken
+        pa_syms = [sum(1 for sym in p.alphabet if p.row(sym, qp))
+                   for qp in range(p.num_states)]
+        shorter = {pa_syms[qp] < len(b.moves(qa)) for qp, qa in pair_map
+                   if pa_syms[qp] != len(b.moves(qa))}
+        assert shorter == {True, False}

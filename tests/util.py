@@ -180,7 +180,7 @@ def through_state(a, q):
 
     starts = [(i, 1 if i == q else 0) for i in sorted(a.initial)]
     nodes, edges = _explore(starts, step)
-    return Nfa(len(nodes), a.alphabet, edges, range(len(starts)),
+    return Nfa(len(nodes), a.alphabet, zip(*edges), range(len(starts)),
                [i for i, (s, flag) in enumerate(nodes)
                 if flag and s in a.final])
 
@@ -223,7 +223,7 @@ def union_symmetric_difference(a1, a2):
 
     subsets, edges = _explore([cut(frozenset(u.initial))], step)
     final2 = {q + off for q in a2.final}
-    return Nfa(len(subsets), u.alphabet, edges, [0],
+    return Nfa(len(subsets), u.alphabet, zip(*edges), [0],
                [i for i, s in enumerate(subsets)
                 if bool(s & a1.final) != bool(s & final2)])
 
@@ -248,7 +248,7 @@ def stop_first_hit(a, q):
                     yield sym, t
 
     subsets, edges = _explore([frozenset(back.initial)], step)
-    return Nfa(len(subsets), a.alphabet, edges, [0],
+    return Nfa(len(subsets), a.alphabet, zip(*edges), [0],
                [i for i, s in enumerate(subsets) if q in s])
 
 
@@ -296,7 +296,7 @@ def ppa_product(p, a, final_weights="model", trimmed=True):
     alive = range(len(pairs))
     if trimmed:
         rev = {}
-        for i, _label, j in edges:
+        for i, j in zip(edges[0], edges[2]):
             rev.setdefault(j, []).append(i)
         alive = _closure([i for i, pair in enumerate(pairs)
                           if is_final(pair)], lambda j: rev.get(j, ()))
@@ -312,7 +312,7 @@ def ppa_product(p, a, final_weights="model", trimmed=True):
     for new, pair in enumerate(kept_pairs):
         if is_final(pair):
             final[new] = 1.0 if final_weights == "unit" else p.final[pair[0]]
-    trans = [(pos[i], sym, pos[j], w) for i, (sym, w), j in edges
+    trans = [(pos[i], sym, pos[j], w) for i, (sym, w), j in zip(*edges)
              if i in alive and j in alive]
     return Ppa(a.alphabet, initial, final, trans), kept_pairs
 
