@@ -155,7 +155,8 @@ def _check_states(a, states):
 
 def same_alphabet(a1, a2):
     """Check the two operands share one alphabet; return the ordered one of a1."""
-    if set(a1.alphabet) != set(a2.alphabet):
+    if (a1.alphabet != a2.alphabet
+            and set(a1.alphabet) != set(a2.alphabet)):
         raise AlphabetMismatchError(
             f"alphabets differ: {a1.alphabet!r} vs {a2.alphabet!r}")
     return a1.alphabet
@@ -261,17 +262,25 @@ def trim_survivors(a):
 
 
 def restrict_with_map(a, keep):
-    """Restrict ``a`` to ``keep``; also return new-index -> old-index tuple."""
+    """Restrict ``a`` to ``keep``; also return new-index -> old-index tuple.
+
+    Renumbering keeps the order of states, so the store keeps its
+    invariants and is built directly."""
     _check_states(a, keep)
     kept = sorted(set(keep))
     pos = {old: new for new, old in enumerate(kept)}
-    transitions = [(pos[src], sym, pos[dst])
-                   for src, sym, dst in a.transitions()
-                   if src in pos and dst in pos]
-    return (Nfa(len(kept), a.alphabet, transitions,
-                initial=[pos[q] for q in kept if q in a.initial],
-                final=[pos[q] for q in kept if q in a.final],
-                name=a.name),
+    delta = {}
+    for old in kept:
+        moves = {}
+        for sym, dsts in a.moves(old):
+            dsts = tuple(pos[d] for d in dsts if d in pos)
+            if dsts:
+                moves[sym] = dsts
+        if moves:
+            delta[pos[old]] = moves
+    return (Nfa._built(len(kept), a, delta,
+                       [pos[q] for q in kept if q in a.initial],
+                       [pos[q] for q in kept if q in a.final], name=a.name),
             tuple(kept))
 
 
@@ -295,13 +304,11 @@ def self_loop(a, r):
     """
     _check_states(a, r)
     r = frozenset(r)
-    transitions = [(src, sym, dst) for src, sym, dst in a.transitions()
-                   if src not in r]
-    for q in sorted(r):
-        for sym in a.alphabet:
-            transitions.append((q, sym, q))
-    return Nfa(a.num_states, a.alphabet, transitions,
-               initial=a.initial, final=a.final | r, name=a.name)
+    # the moves of the other states are shared: automata are immutable
+    delta = {q: {sym: (q,) for sym in a.alphabet} if q in r else a._delta[q]
+             for q in sorted(r.union(a._delta))}
+    return Nfa._built(a.num_states, a, delta, a.initial, a.final | r,
+                      name=a.name)
 
 
 def _difference(a1, a2):

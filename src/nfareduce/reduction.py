@@ -7,6 +7,16 @@ accepting) and trims, so the reduced language is a superset.  Both come
 with an error function whose value provably bounds the probabilistic
 distance between the original and the reduced automaton.  Inputs are
 assumed to be trim.
+
+Both greedy algorithms choose, on any input, trim or not, what their
+plain linear scans choose.  The error-driven greedy minimizes each
+candidate prune set in one linear pass, an incremental search
+(``minimize_prune_set``), not one survivor pass per member.  The
+size-driven greedy bisects over the prefixes of its label order, since
+sacrificing one more state never adds a survivor.  The one exception is
+self-looping a dead state (one that cannot reach a final state), which
+makes it final and can revive the states that reach it; so the bisection
+stays within the runs of the order between dead states.
 """
 
 import time
@@ -15,7 +25,7 @@ from dataclasses import dataclass
 from .labels import label_prune, label_selfloop
 from .langprob import prob_lang
 from .nfa import (DEFAULT_DET_CAP, Nfa, _check_states, _closure,
-                  _predecessors, _symmetric_difference, restrict,
+                  _predecessors, _symmetric_difference, coreach, restrict,
                   same_alphabet, self_loop)
 
 KINDS = ("prune", "selfloop")
@@ -112,14 +122,50 @@ def reduce_selfloop(a, v):
 def minimize_prune_set(a, v, lab):
     """Greedily shrink ``v`` while pruning keeps the identical surviving
     set; states are dropped in descending label order (ties by descending
-    index) so high labels leave the bound first."""
-    target = prune_survivors(a, v)
+    index) so high labels leave the bound first.
+
+    A member q of the kept set is redundant exactly when it is on no
+    initial-to-final path that avoids the other kept states: when it is
+    not initial and has no predecessor in ``fwd`` (the states reachable
+    from an initial state avoiding the kept set), or it is not final and
+    has no successor in ``bwd`` (those co-reachable to a final state).
+    Dropping q grows at most one of the two, by one search from q, so the
+    whole minimization visits each state and edge at most once per
+    direction (the vertex insertion case of incremental reachability).
+    """
+    _check_states(a, v)
     kept = set(v)
-    for q in sorted(v, key=lambda q: (lab[q], q), reverse=True):
-        candidate = kept - {q}
-        if prune_survivors(a, candidate) == target:
-            kept = candidate
+    pred = _predecessors(a)
+    fwd, bwd = set(), set()
+    for q in a.initial - kept:
+        _extend(fwd, q, a.neighbors, kept)
+    for q in a.final - kept:
+        _extend(bwd, q, pred.__getitem__, kept)
+    for q in sorted(kept, key=lambda q: (lab[q], q), reverse=True):
+        reached = q in a.initial or not fwd.isdisjoint(pred[q])
+        coreached = q in a.final or not bwd.isdisjoint(a.neighbors(q))
+        if reached and coreached:
+            continue
+        kept.discard(q)
+        if reached:
+            _extend(fwd, q, a.neighbors, kept)
+        elif coreached:
+            _extend(bwd, q, pred.__getitem__, kept)
     return frozenset(kept)
+
+
+def _extend(seen, q, neighbors, blocked):
+    """Add ``q`` and every state reachable from it by ``neighbors``
+    outside ``seen`` and ``blocked`` to ``seen``."""
+    if q in seen:
+        return
+    seen.add(q)
+    stack = [q]
+    while stack:
+        for y in neighbors(stack.pop()):
+            if y not in seen and y not in blocked:
+                seen.add(y)
+                stack.append(y)
 
 
 def minimize_selfloop_set(a, v):
@@ -206,12 +252,39 @@ def greedy_size_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
     label_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    chosen = set()
-    for q in default_order(labels):
-        chosen.add(q)
-        if len(_survivors(a, cfg.kind, chosen)) <= n:
-            break
-    return _report(a, cfg.kind, chosen, labels, label_time, t1)
+    order = default_order(labels)
+    k = _first_fitting_prefix(a, cfg.kind, order, n)
+    return _report(a, cfg.kind, set(order[:k]), labels, label_time, t1)
+
+
+def _first_fitting_prefix(a, kind, order, n):
+    """The least k >= 1 whose prefix ``order[:k]`` leaves at most ``n``
+    survivors, or ``len(order)`` when none does.
+
+    Within a run of the order that no dead state starts, for the self-loop
+    kind, or along the whole order for pruning, the survivor count cannot
+    rise; so the search tests the end of each run in turn and bisects
+    inside the first run whose end fits.
+    """
+    def fits(k):
+        return len(_survivors(a, kind, order[:k])) <= n
+
+    starts = [1]
+    if kind == "selfloop":
+        live = coreach(a, a.final)
+        starts += [k for k in range(2, len(order) + 1)
+                   if order[k - 1] not in live]
+    ends = [k - 1 for k in starts[1:]] + [len(order)]
+    for lo, hi in zip(starts, ends):
+        if fits(hi):
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if fits(mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+    return len(order)
 
 
 def greedy_error_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):

@@ -12,10 +12,12 @@ from nfareduce import (Nfa, Pa, accepts, components, determinize,
                        trim, trim_survivors)
 from nfareduce.errors import AlphabetMismatchError, DeterminizationCapError
 from nfareduce.langprob import _deterministic
-from nfareduce.nfa import _accept_all, _symmetric_difference, first_hit
+from nfareduce.nfa import (_accept_all, _symmetric_difference, first_hit,
+                           restrict_with_map, same_alphabet)
 
-from util import (AB, ABC, BA, a2, banguage_nfa, canon_dfa, lang_upto, nfas,
-                  product, random_nfa, same_dfa_language,
+from util import (AB, ABC, BA, a2, banguage_nfa, canon_dfa, lang_upto,
+                  nfa_restrict_with_map, nfa_self_loop, nfas, product,
+                  random_nfa, same_automaton, same_dfa_language,
                   self_product_unambiguous, stop_first_hit, trapped_nfas,
                   union, words_upto)
 
@@ -138,6 +140,46 @@ class TestSelfLoop:
             for w in words_upto(a.alphabet, 4):
                 if accepts(a, w):
                     assert accepts(looped, w)
+
+
+class TestBuiltWithoutChecks:
+    """``restrict_with_map`` and ``self_loop`` fill the store directly;
+    they must build what ``Nfa(...)`` builds from the same transitions."""
+
+    @SETTINGS
+    @given(st.one_of(nfas(), trapped_nfas()), st.data())
+    def test_restrict_with_map_matches_checked_construction(self, a, data):
+        keep = data.draw(st.lists(st.integers(0, max(a.num_states - 1, 0)),
+                                  max_size=a.num_states))
+        got, origins = restrict_with_map(a, keep)
+        want, want_origins = nfa_restrict_with_map(a, keep)
+        assert origins == want_origins
+        assert same_automaton(got, want)
+
+    @SETTINGS
+    @given(st.one_of(nfas(), trapped_nfas()), st.data())
+    def test_self_loop_matches_checked_construction(self, a, data):
+        r = data.draw(st.frozensets(st.integers(0, max(a.num_states - 1, 0)),
+                                    max_size=a.num_states))
+        assert same_automaton(self_loop(a, r), nfa_self_loop(a, r))
+
+    def test_out_of_range_states_still_rejected(self):
+        with pytest.raises(ValueError):
+            restrict(a2(), [4])
+        with pytest.raises(ValueError):
+            self_loop(a2(), [-1])
+
+
+class TestSameAlphabet:
+    def test_permuted_alphabet_is_accepted(self):
+        assert same_alphabet(universal(AB), universal(BA)) == AB
+        assert same_alphabet(universal(BA), universal(AB)) == BA
+
+    def test_different_alphabet_raises(self):
+        with pytest.raises(AlphabetMismatchError,
+                           match=r"alphabets differ: \('a', 'b'\) vs "
+                                 r"\('a', 'b', 'c'\)"):
+            same_alphabet(universal(AB), universal(ABC))
 
 
 class TestUnionProduct:

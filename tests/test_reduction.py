@@ -3,15 +3,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nfareduce import (Nfa, ReductionConfig, accepts, distance, err_prune,
-                       err_selfloop, greedy_error_driven, greedy_size_driven,
-                       label_prune, label_selfloop, make_p_exp,
-                       minimize_prune_set, minimize_selfloop_set,
-                       prune_survivors, reduce_prune, reduce_selfloop,
-                       selfloop_survivors)
+from nfareduce import (Nfa, ReductionConfig, StateLabelling, accepts,
+                       distance, err_prune, err_selfloop,
+                       greedy_error_driven, greedy_size_driven, label_prune,
+                       label_selfloop, make_p_exp, minimize_prune_set,
+                       minimize_selfloop_set, prune_survivors, reduce_prune,
+                       reduce_selfloop, selfloop_survivors)
 
-from util import AB, a2, lang_upto, random_nfa, random_pa, words_upto
+from util import (AB, BA, a2, lang_upto, nfas, oracle_greedy,
+                  oracle_minimize_prune_set, random_nfa, random_pa,
+                  same_automaton, words_upto)
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def p_exp_ab():
@@ -87,6 +93,82 @@ class TestMinimizeSets:
             small_sl = minimize_selfloop_set(a, v)
             assert small_sl <= v
             assert selfloop_survivors(a, small_sl) == selfloop_survivors(a, v)
+
+
+def tied_labels(data, n):
+    """Labels drawn from three values, so the label order has ties."""
+    values = data.draw(st.lists(st.sampled_from((0.0, 0.125, 0.25)),
+                                min_size=n, max_size=n))
+    return StateLabelling("p2", tuple(values))
+
+
+class TestAgainstOracles:
+    """The one-search minimization and the bisected size greedy against
+    the survivor pass per member and the linear scan, on automata that
+    need not be trim."""
+
+    @SETTINGS
+    @given(nfas(), st.data())
+    def test_minimize_prune_set_matches_oracle(self, a, data):
+        # each state in or out with even odds, so sets are often large
+        flags = data.draw(st.lists(st.booleans(), min_size=a.num_states,
+                                   max_size=a.num_states))
+        v = frozenset(q for q, flag in enumerate(flags) if flag)
+        lab = tied_labels(data, a.num_states)
+        assert minimize_prune_set(a, v, lab) == \
+            oracle_minimize_prune_set(a, v, lab)
+
+    @SETTINGS
+    @given(nfas(min_states=2), st.data())
+    def test_size_greedy_matches_scan(self, a, data):
+        kind = data.draw(st.sampled_from(("prune", "selfloop")))
+        n = data.draw(st.integers(1, a.num_states - 1))
+        lab = tied_labels(data, a.num_states)
+        report = greedy_size_driven(a, make_p_exp(BA),
+                                    ReductionConfig(kind, 2, "size", n),
+                                    labels=lab)
+        chosen, bound, reduced = oracle_greedy(a, kind, "size", n, lab)
+        assert report.chosen_set == chosen
+        assert report.error_bound == bound
+        assert same_automaton(report.reduced, reduced)
+
+    @SETTINGS
+    @given(nfas(), st.data())
+    def test_error_greedy_matches_oracle(self, a, data):
+        kind = data.draw(st.sampled_from(("prune", "selfloop")))
+        budget = data.draw(st.sampled_from((0.0, 0.125, 0.3, 0.5, 1.0)))
+        lab = tied_labels(data, a.num_states)
+        report = greedy_error_driven(a, make_p_exp(BA),
+                                     ReductionConfig(kind, 2, "error", budget),
+                                     labels=lab)
+        chosen, bound, reduced = oracle_greedy(a, kind, "error", budget, lab)
+        assert report.chosen_set == chosen
+        assert report.error_bound == bound
+        assert same_automaton(report.reduced, reduced)
+
+    def test_a_looped_dead_state_revives_its_predecessors(self):
+        # state 2 cannot reach a final state; looped, it is final, so the
+        # survivor count rises from 2 to 3 as the set grows
+        a = Nfa(3, AB, [(0, "a", 1), (0, "b", 2)], [0], [1])
+        assert len(selfloop_survivors(a, set())) == 2
+        assert len(selfloop_survivors(a, {2})) == 3
+
+    def test_size_greedy_finds_the_first_fit_before_a_dead_state(self):
+        # 0 -a-> 1 -a-> 2 (final) and the dead chain 0 -b-> 3 -b-> 4, in the
+        # label order 2, 1, 4, 3, 0: the prefixes leave 3, 2, 4, 3 and 1
+        # survivors, since looping the dead 4 and 3 revives the chain; the
+        # first fit of 2 states is the prefix {2, 1}
+        a = Nfa(5, AB, [(0, "a", 1), (1, "a", 2), (0, "b", 3), (3, "b", 4)],
+                [0], [2])
+        lab = StateLabelling("sl2", (0.5, 0.2, 0.1, 0.4, 0.3))
+        order = (2, 1, 4, 3, 0)
+        counts = [len(selfloop_survivors(a, order[:k])) for k in range(1, 6)]
+        assert counts == [3, 2, 4, 3, 1]
+        report = greedy_size_driven(a, make_p_exp(AB),
+                                    ReductionConfig("selfloop", 2, "size", 2),
+                                    labels=lab)
+        assert report.chosen_set == {1, 2}
+        assert report.output_size == 2
 
 
 class TestErrFunctions:

@@ -4,7 +4,8 @@
 - Constructions the library does not need, built through ``Nfa(...)``
   with every transition checked: the disjoint union, the product
   automaton, the back-language acceptor and the untrimmed through-state
-  acceptor.
+  acceptor; and ``restrict_with_map`` and ``self_loop`` the same way,
+  which the library builds without the checks.
 - The first ways of building the symmetric-difference DFA (the subset
   construction of the union, cut per side) and the first-hit DFA (a
   subset that holds the state stops), which the library's trap rule
@@ -20,10 +21,19 @@
   language probability per final state, final set or state; sl2 on a
   ``prefix_universal`` acceptor rather than a first-hit DFA), and the
   per-word event counts the lockstep ``count_events`` is held to.
+- The greedy reductions by the linear scan (``oracle_greedy``), with the
+  prune-set minimization by one survivor pass per member
+  (``oracle_minimize_prune_set``), which the library replaces with one
+  incremental search and a bisection.
+- ``byte_rule_set``: a byte-alphabet rule set and model at the paper's
+  shape, from the benchmark's generators.
 - ``eval_table``, which returns the lazy table ``traffic_error`` filled.
 """
 
+import importlib.util
 import itertools
+import os
+import random
 from unittest import mock
 
 import mpmath
@@ -32,8 +42,10 @@ from hypothesis import strategies as st
 
 from nfareduce import traffic
 from nfareduce import (Nfa, Pa, Ppa, accepts, components, coreach,
-                       determinize_with_subsets, prob_lang, reach,
-                       restrict_with_map, self_loop, trim, trim_survivors,
+                       default_order, determinize_with_subsets,
+                       minimize_selfloop_set, parse_nfa, parse_pa,
+                       prob_lang, prune_survivors, reach, restrict_with_map,
+                       selfloop_survivors, self_loop, trim, trim_survivors,
                        validate_pa, word_prob)
 from nfareduce.nfa import _closure, _explore, same_alphabet
 
@@ -250,6 +262,37 @@ def stop_first_hit(a, q):
     subsets, edges = _explore([frozenset(back.initial)], step)
     return Nfa(len(subsets), a.alphabet, zip(*edges), [0],
                [i for i, s in enumerate(subsets) if q in s])
+
+
+def nfa_restrict_with_map(a, keep):
+    """``restrict_with_map`` through ``Nfa(...)``: the kept transitions
+    renumbered, every one checked again."""
+    kept = sorted(set(keep))
+    pos = {old: new for new, old in enumerate(kept)}
+    transitions = [(pos[src], sym, pos[dst])
+                   for src, sym, dst in a.transitions()
+                   if src in pos and dst in pos]
+    return (Nfa(len(kept), a.alphabet, transitions,
+                [pos[q] for q in kept if q in a.initial],
+                [pos[q] for q in kept if q in a.final], name=a.name),
+            tuple(kept))
+
+
+def nfa_self_loop(a, r):
+    """``self_loop`` through ``Nfa(...)``: the transitions of the states
+    outside ``r``, and a self-loop on every symbol for each state in it."""
+    r = frozenset(r)
+    transitions = [(src, sym, dst) for src, sym, dst in a.transitions()
+                   if src not in r]
+    transitions += [(q, sym, q) for q in sorted(r) for sym in a.alphabet]
+    return Nfa(a.num_states, a.alphabet, transitions, a.initial,
+               a.final | r, name=a.name)
+
+
+def same_automaton(x, y):
+    """Equal automata whose stores also list states, symbols and
+    successors in the same order."""
+    return x == y and list(x.transitions()) == list(y.transitions())
 
 
 def same_dfa_language(d1, d2):
@@ -472,6 +515,76 @@ def oracle_labels(a, p, kind, variant, by_component=True):
         for orig_q, value in zip(origins, compute(sub, p, variant)):
             values[orig_q] = value
     return values
+
+
+def oracle_minimize_prune_set(a, v, lab):
+    """The prune-set minimization by one survivor pass per member: each
+    state of ``v``, in descending (label, index) order, is dropped when
+    the survivors stay the same without it."""
+    target = prune_survivors(a, v)
+    kept = set(v)
+    for q in sorted(v, key=lambda q: (lab[q], q), reverse=True):
+        candidate = kept - {q}
+        if prune_survivors(a, candidate) == target:
+            kept = candidate
+    return frozenset(kept)
+
+
+def oracle_greedy(a, kind, mode, param, labels):
+    """(chosen set, error bound, reduced automaton) of the greedy by the
+    linear scan along ``default_order(labels)``.  Size mode sacrifices
+    states until the survivors fit ``param``, with one survivor pass per
+    step; error mode sacrifices each state whose bound, with the prune
+    minimization above, stays within ``param``.  The reduced automaton is
+    built through ``Nfa(...)``."""
+    def survivors(v):
+        if kind == "prune":
+            return prune_survivors(a, v)
+        return selfloop_survivors(a, v)
+
+    def bound(v):
+        if kind == "prune":
+            return sum(labels[q]
+                       for q in sorted(oracle_minimize_prune_set(a, v, labels)))
+        return min(1.0, sum(labels[q]
+                            for q in sorted(minimize_selfloop_set(a, v))))
+
+    chosen = set()
+    if mode == "size":
+        if a.num_states <= param:
+            return frozenset(), 0.0, a
+        for q in default_order(labels):
+            chosen.add(q)
+            if len(survivors(chosen)) <= param:
+                break
+    else:
+        for q in default_order(labels):
+            if bound(chosen | {q}) <= param:
+                chosen.add(q)
+    looped = a if kind == "prune" else nfa_self_loop(a, chosen)
+    reduced = nfa_restrict_with_map(looped, survivors(chosen))[0]
+    return frozenset(chosen), bound(chosen), reduced
+
+
+def byte_rule_set(count, seed=1):
+    """A Sigma*-prefixed set of ``count`` byte rules from the benchmark's
+    generators (``bench/generators.py``), and its model: rules of 8-10
+    slots, each with one class and one ``x{1,2}`` repeat, seeded by
+    ``"rules:<count>:<seed>"``; the model is learned on the last-byte
+    skeleton from a 1,500-word text corpus with 5 % planted rule
+    literals.  Ten rules give 102 states in one component."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "bench", "generators.py")
+    spec = importlib.util.spec_from_file_location("bench_generators", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(f"rules:{count}:{seed}")
+    rules = [gen.make_rule(rng, rng.randint(8, 10), class_at=(1,), repeat=4)
+             for _ in range(count)]
+    literals = [gen.rule_literal(rng, r) for r in rules for _ in range(4)]
+    corpus = gen.text_corpus(rng, literals, 1500, 20, 60, 0.05)
+    return (parse_nfa(gen.fa_text(gen.rule_set(rules))),
+            parse_pa(gen.learn_model_text(gen.last_byte_skeleton(), corpus)))
 
 
 def eval_table(a, b, sample):
