@@ -29,8 +29,9 @@ state, each under ``det_cap``:
 - sl2(q) is the probability of q's first-hit words (``first_hit``, the
   through-state acceptor cut at q, in which every subset that holds q
   becomes {q} and stops) under the continuation-mass model: the PA with
-  its final weights replaced by z = (I - T)^-1 . final, under which a
-  word weighs the probability that a random word starts with it;
+  its final weights replaced by z = (I - T)^-1 . final and its store
+  shared (``Ppa._reweighted``), under which a word weighs the probability
+  that a random word starts with it;
 - p3(q) and the subtrahend of sl3(q) are the words with an accepting run
   through q, which a subset does not tell: one ``prob_lang`` of
   ``through_state``, which determinizes that state's acceptor.
@@ -47,7 +48,6 @@ from .langprob import (_as_prob, _continuation_mass, _solve_y, prob_lang,
 from .nfa import (DEFAULT_DET_CAP, components, determinize_with_subsets,
                   first_hit, reach, restrict_with_map, same_alphabet,
                   through_state)
-from .pa import Ppa
 
 # below this share of sl2, a negative sl3 counts as round-off; beyond, it
 # signals an internal inconsistency
@@ -158,8 +158,8 @@ def _label(a, p, variant, kind, det_cap):
         raise ValueError(f"label variant must be 1, 2 or 3, got {variant!r}")
     same_alphabet(p, a)
     # the words under pz weigh the probability of their extensions
-    pz = (Ppa(p.alphabet, p.initial, _continuation_mass(p).tolist(),
-              p.entries()) if kind == "selfloop" and variant > 1 else None)
+    pz = (p._reweighted(_continuation_mass(p).tolist())
+          if kind == "selfloop" and variant > 1 else None)
     values = [0.0] * a.num_states
     for comp in components(a):
         sub, origins = restrict_with_map(a, comp)

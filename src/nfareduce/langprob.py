@@ -9,9 +9,9 @@ radius is below 1, so the product needs no trimming: the matrix star (the
 sum of all powers of E) equals (I - E)^-1.
 
 The product (``product_pa_nfa``) is one ``_explore`` over pairs numbered
-by one integer each, whose edges are labelled by the PA transition they
-take, so it allocates no tuple per edge; the PA's rows and edge table are
-built once per PA and alphabet order (``_pa_edges``).
+by one integer each, whose edges are labelled by the PA edge they take, so
+it allocates no tuple per edge; it reads the one store of a ``Ppa``, whose
+edge arrays ``_continuation_mass`` solves on directly.
 
 The solve is direct at every size: the row vector y = initial . (I - E)^-1
 comes from the transposed system, solved block by block over its strongly
@@ -53,9 +53,9 @@ class ProductPpa:
     ``pair_map[i]`` gives the (pa_state, nfa_state) origin of product
     state ``i``; ``initial`` and ``final`` are the weight vectors.  Entry
     ``k`` is a transition ``src[k] -alphabet[sym[k]]-> dst[k]`` of weight
-    ``weight[k]``, in ``Ppa.entries()`` order: by source, alphabet index,
-    then target.  ``ppa`` is the same automaton as a ``Ppa``, built on
-    first use.
+    ``weight[k]``, numbered as a ``Ppa`` numbers its edges: by source,
+    alphabet index, then target.  ``ppa`` is the same automaton as a
+    ``Ppa``, built from these arrays on first use.
     """
     alphabet: tuple
     pair_map: tuple
@@ -74,27 +74,6 @@ class ProductPpa:
                        self.weight.tolist()))
 
 
-def _pa_edges(p, alphabet):
-    """``p``'s transitions for a product over ``alphabet``: per PA state,
-    ``symbol -> ((edge, target), ...)`` with symbols in the order of
-    ``alphabet`` and targets ascending, and the edge table, the alphabet
-    index and weight of each numbered edge.  Built once per PA and alphabet
-    order and kept, like ``Nfa._pred``."""
-    if p._edges is None or p._edges[0] != alphabet:
-        order = {sym: k for k, sym in enumerate(alphabet)}
-        rows = [{} for _ in range(p.num_states)]
-        syms, weights = [], []
-        for sym in sorted(p._trans, key=order.__getitem__):
-            k = order[sym]
-            for qp, row in p._trans[sym].items():
-                rows[qp][sym] = tuple(enumerate(row, len(syms)))
-                syms += [k] * len(row)
-                weights += row.values()
-        p._edges = (alphabet, rows, np.array(syms, dtype=np.intp),
-                    np.array(weights, dtype=float))
-    return p._edges[1:]
-
-
 def product_pa_nfa(p, a):
     """Product of PA ``p`` and automaton ``a`` over the pairs reachable
     from the initial pairs, untrimmed.
@@ -106,24 +85,25 @@ def product_pa_nfa(p, a):
     probability and every other word 0, and I - E is nonsingular.
 
     ``_explore`` numbers the pair (qp, qa) as the integer qp * n + qa, with
-    n the states of ``a``, and labels each edge with the number of its PA
-    transition in ``_pa_edges``' table, so an edge allocates no tuple.  A
-    pair walks the shorter of its PA state's symbols and its automaton
-    state's moves; both are in alphabet order, so the pairs are found in
-    the same order either way.
+    n the states of ``a``, and labels each edge with its PA edge number,
+    so an edge allocates no tuple.  A pair walks the shorter of its PA
+    state's symbols and its automaton state's moves; both are in alphabet
+    order, so the pairs are found in the same order either way.  A PA over
+    a permutation of ``a``'s alphabet lists its symbols in another order,
+    so then the pairs walk ``a``'s moves.
     """
     same_alphabet(p, a)
-    rows, edge_sym, edge_weight = _pa_edges(p, a.alphabet)
-    delta = a._delta
+    same_order = p.alphabet == a.alphabet
+    rows, delta = p._rows, a._delta
     n = a.num_states
 
     def step(key):
         qp, qa = divmod(key, n)
-        row = rows[qp]
+        row = rows.get(qp)
         moves = delta.get(qa)
         if not row or not moves:
             return
-        if len(row) < len(moves):
+        if same_order and len(row) < len(moves):
             hits = [(moves[sym], out) for sym, out in row.items()
                     if sym in moves]
         else:
@@ -146,7 +126,9 @@ def product_pa_nfa(p, a):
     src = np.array(src, dtype=np.intp)
     dst = np.array(dst, dtype=np.intp)
     labels = np.array(labels, dtype=np.intp)
-    sym, weight = edge_sym[labels], edge_weight[labels]
+    sym, weight = p.sym[labels], p.weight[labels]
+    if not same_order:
+        sym = np.array([a._sym_index[x] for x in p.alphabet], np.intp)[sym]
     # the order of Ppa.entries(): by source, alphabet index, target
     perm = np.lexsort((dst, sym, src))
     return ProductPpa(a.alphabet, tuple(pairs), initial, final, src[perm],
@@ -274,13 +256,7 @@ def _continuation_mass(p):
     """z = (I - T)^-1 . final: per PA state, the total probability of the
     words read from it.  It is 1 for a PA that is exactly stochastic, and
     within the PA's stochasticity tolerance of 1 otherwise."""
-    src, dst, weight = [], [], []
-    for qp, _sym, qp2, w in p.entries():
-        src.append(qp)
-        dst.append(qp2)
-        weight.append(w)
-    return _solve(p.num_states, np.array(src, dtype=np.intp),
-                  np.array(dst, dtype=np.intp), np.array(weight, dtype=float),
+    return _solve(p.num_states, p.src, p.dst, p.weight,
                   np.array(p.final, dtype=float))
 
 

@@ -219,6 +219,13 @@ def _predecessors(a):
     return a._pred
 
 
+def _live_states(a):
+    """The states that can reach a final state, kept like ``_pred``."""
+    if a._live is None:
+        a._live = coreach(a, a.final)
+    return a._live
+
+
 def _store(edges):
     """Per-state store from ``_explore``'s flat edge lists, zipped: the
     edges come grouped by ascending source and, per source, with labels in
@@ -454,11 +461,8 @@ def _through_acceptor(a, q, cut):
     state; there are no pairs at all when ``q`` cannot reach one.  Cut,
     (q, 1) is the one final pair and has no moves."""
     a._check_state(q)
-    if a._live is None:
-        # the states that can reach a final state, kept like ``_pred``
-        a._live = coreach(a, a.final)
-    to_q = coreach(a, [q]) if cut or q in a._live else _NO_STATES
-    live = to_q if cut else a._live
+    to_q = coreach(a, [q]) if cut or q in _live_states(a) else _NO_STATES
+    live = to_q if cut else _live_states(a)
 
     def step(node):
         s, flag = node

@@ -7,9 +7,12 @@ conditions hold, defines a distribution over all words.  A
 pseudo-probabilistic automaton (PPA) has the same shape with no
 stochasticity demands; products of a PA with an NFA are generally only PPAs.
 
-Transition matrices are stored sparsely, as per-symbol adjacency with
-weights: learned traffic models touch only a tiny fraction of state pairs.
+The transitions are stored once and sparsely, since learned traffic models
+touch only a tiny fraction of state pairs: as edge arrays, which the solver
+reads, and per-state rows, which the PA x DFA product walks.
 """
+
+import numpy as np
 
 from .nfa import Nfa, trim_survivors
 
@@ -17,14 +20,21 @@ STOCHASTIC_TOL = 1e-9
 
 
 class Ppa:
-    """Pseudo-probabilistic automaton: nonnegative weights, no constraints."""
+    """Pseudo-probabilistic automaton: nonnegative weights, no constraints.
+
+    Edge ``e`` is the transition ``src[e] -alphabet[sym[e]]-> dst[e]`` of
+    weight ``weight[e]``, numbered by source, alphabet index, then target.
+    ``_rows`` maps each state with transitions to ``{symbol: ((edge,
+    target), ...)}``, symbols in alphabet order and targets ascending.
+    """
 
     __slots__ = ("num_states", "alphabet", "initial", "final", "name",
-                 "_trans", "_sym_index", "_edges")
+                 "_sym_index", "src", "sym", "dst", "weight", "_rows")
 
     def __init__(self, alphabet, initial, final, transitions=(), name=None):
         """``transitions`` is an iterable of (src, symbol, dst, weight)
-        quadruples; zero weights are dropped, negative ones rejected."""
+        quadruples; zero weights are dropped, negative ones rejected, and a
+        repeated (src, symbol, dst) keeps its last nonzero weight."""
         alphabet = tuple(alphabet)
         if not alphabet:
             raise ValueError("alphabet must be non-empty")
@@ -43,9 +53,6 @@ class Ppa:
         self.initial = initial
         self.final = final
         self.name = name
-        # the product's view of the transitions, filled on first use
-        # (``langprob._pa_edges``)
-        self._edges = None
 
         trans = {}
         for src, sym, dst, w in transitions:
@@ -56,32 +63,43 @@ class Ppa:
             w = float(w)
             if w < 0.0:
                 raise ValueError("transition weights must be nonnegative")
-            if w == 0.0:
-                continue
-            trans.setdefault(sym, {}).setdefault(src, {})[dst] = w
-        # re-key rows/columns in ascending order so iteration is reproducible
-        self._trans = {
-            sym: {src: dict(sorted(rows[src].items()))
-                  for src in sorted(rows)}
-            for sym, rows in sorted(trans.items(),
-                                    key=lambda kv: self._sym_index[kv[0]])
-        }
+            if w != 0.0:
+                trans[src, self._sym_index[sym], dst] = w
+        keys = sorted(trans)
+        cols = list(zip(*keys)) or [()] * 3
+        self.src, self.sym, self.dst = (np.array(c, np.intp) for c in cols)
+        self.weight = np.array([trans[k] for k in keys], dtype=float)
+        self._rows = {}
+        for e, (src, k, dst) in enumerate(keys):
+            row = self._rows.setdefault(src, {})
+            row[alphabet[k]] = row.get(alphabet[k], ()) + ((e, dst),)
+
+    def _reweighted(self, final):
+        """This automaton with the final weights ``final``, sharing its
+        transition store; nothing is checked, as in ``Nfa._built``."""
+        p = object.__new__(Ppa)
+        for slot in Ppa.__slots__:
+            setattr(p, slot, getattr(self, slot))
+        p.final = tuple(final)
+        return p
 
     def row(self, sym, src):
         """Sparse transition row for (src, sym) as a dst -> weight dict."""
-        return self._trans.get(sym, {}).get(src, {})
+        return {dst: self.weight.item(e)
+                for e, dst in self._rows.get(src, {}).get(sym, ())}
 
     def entries(self):
-        """Yield (src, sym, dst, weight) in (src, alphabet, dst) order."""
-        for src in range(self.num_states):
-            for sym in self.alphabet:
-                for dst, w in self.row(sym, src).items():
-                    yield src, sym, dst, w
+        """Iterator over the (src, sym, dst, weight) quadruples in edge
+        order: by source, alphabet index, then target."""
+        return zip(self.src.tolist(),
+                   [self.alphabet[k] for k in self.sym.tolist()],
+                   self.dst.tolist(), self.weight.tolist())
 
     def out_mass(self, src):
         """Total outgoing transition weight of ``src`` over all symbols."""
-        return sum(w for sym in self.alphabet
-                   for w in self.row(sym, src).values())
+        return sum(self.weight.item(e)
+                   for out in self._rows.get(src, {}).values()
+                   for e, _dst in out)
 
     def __len__(self):
         return self.num_states
@@ -188,10 +206,9 @@ def _propagate(p, word):
         if sym not in p._sym_index:
             raise ValueError(f"symbol {sym!r} not in alphabet")
         nxt = [0.0] * p.num_states
-        rows = p._trans.get(sym, {})
         for i, v in enumerate(vec):
             if v:
-                for j, w in rows.get(i, {}).items():
+                for j, w in p.row(sym, i).items():
                     nxt[j] += v * w
         vec = nxt
     return vec

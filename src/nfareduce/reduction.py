@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from .labels import label_prune, label_selfloop
 from .langprob import prob_lang
 from .nfa import (DEFAULT_DET_CAP, Nfa, _check_states, _closure,
-                  _predecessors, _symmetric_difference, coreach, restrict,
-                  same_alphabet, self_loop)
+                  _live_states, _predecessors, _symmetric_difference,
+                  restrict, same_alphabet, self_loop)
 
 KINDS = ("prune", "selfloop")
 MODES = ("size", "error")
@@ -115,8 +115,10 @@ def reduce_prune(a, v):
 
 
 def reduce_selfloop(a, v):
-    """Self-loop the states in ``v`` and trim.  Over-approximates."""
-    return restrict(self_loop(a, v), selfloop_survivors(a, v))
+    """Self-loop the members of ``v`` that survive, the others being
+    dropped either way, and trim.  Over-approximates."""
+    survivors = selfloop_survivors(a, v)
+    return restrict(self_loop(a, frozenset(v) & survivors), survivors)
 
 
 def minimize_prune_set(a, v, lab):
@@ -271,7 +273,7 @@ def _first_fitting_prefix(a, kind, order, n):
 
     starts = [1]
     if kind == "selfloop":
-        live = coreach(a, a.final)
+        live = _live_states(a)
         starts += [k for k in range(2, len(order) + 1)
                    if order[k - 1] not in live]
     ends = [k - 1 for k in starts[1:]] + [len(order)]

@@ -5,13 +5,14 @@ constructions they replace, on random small automata and models.
 in discovery order.  ``prob_lang`` tells a deterministic automaton by one
 pass over the store; such an automaton is unambiguous by the self-product
 oracle.  ``product_pa_nfa`` numbers its pairs by integers, labels its edges
-by PA transition and walks the shorter of a pair's two symbol sets, with
-the PA's rows kept per alphabet order; the oracle builds a ``Ppa``
-transition by transition, and the two must agree bit for bit, on
-hypothesis' small PAs and on a seeded 40-state NFA whose product walks
-both sides.  The subset construction and ``through_state`` fill the
-transition store without re-validation; rebuilding them through
-``Nfa.__init__`` must give the same automaton.
+by PA edge and walks the shorter of a pair's two symbol sets, or the
+automaton's moves when the PA lists its symbols in another order; the
+oracle builds a ``Ppa`` transition by transition, and the two must agree
+bit for bit, on hypothesis' small PAs and on a seeded 40-state NFA whose
+product walks both sides.  Neither order leaves anything on the PA.
+The subset construction and ``through_state`` fill the transition store
+without re-validation; rebuilding them through ``Nfa.__init__`` must give
+the same automaton.
 """
 
 import random
@@ -151,3 +152,14 @@ def test_seeded_product_matches_ppa_construction_bit_for_bit():
         shorter = {pa_syms[qp] < len(b.moves(qa)) for qp, qa in pair_map
                    if pa_syms[qp] != len(b.moves(qa))}
         assert shorter == {True, False}
+
+
+def test_products_leave_the_pa_as_built():
+    p, a = seeded_product_case()
+    rev = Nfa(a.num_states, a.alphabet[::-1], a.transitions(), a.initial,
+              a.final)
+    before = [getattr(p, slot) for slot in Ppa.__slots__]
+    for b in (a, rev, a):
+        product_pa_nfa(p, b)
+    assert all(getattr(p, slot) is value
+               for slot, value in zip(Ppa.__slots__, before))

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nfareduce import (Nfa, Pa, accepts, components, determinize,
+from nfareduce import (Nfa, Pa, accepts, components, coreach, determinize,
                        determinize_with_subsets, product_pa_nfa, reach,
                        restrict, self_loop, serialize_nfa, through_state,
                        trim, trim_survivors)
 from nfareduce.errors import AlphabetMismatchError, DeterminizationCapError
 from nfareduce.langprob import _deterministic
-from nfareduce.nfa import (_accept_all, _symmetric_difference, first_hit,
-                           restrict_with_map, same_alphabet)
+from nfareduce.nfa import (_accept_all, _live_states, _symmetric_difference,
+                           first_hit, restrict_with_map, same_alphabet)
 
 from util import (AB, ABC, BA, a2, banguage_nfa, canon_dfa, lang_upto,
                   nfa_restrict_with_map, nfa_self_loop, nfas, product,
@@ -455,3 +455,13 @@ class TestDiscoveryOrder:
         assert product_pa_nfa(p, self.nfa()).pair_map == (
             (0, 0), (0, 1), (1, 0), (1, 1), (1, 3), (0, 2), (1, 2), (0, 4),
             (1, 4), (0, 3))
+
+
+@SETTINGS
+@given(nfas())
+def test_live_states_are_built_once_per_automaton(a):
+    live = _live_states(a)
+    assert live == coreach(a, a.final)
+    for q in range(a.num_states):
+        through_state(a, q)
+    assert _live_states(a) is live

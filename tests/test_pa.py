@@ -1,15 +1,22 @@
-"""Probabilistic automata: validation, support, word values, P_exp."""
+"""Probabilistic automata: the transition store, validation, support, word
+values, P_exp."""
 
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfareduce import (Nfa, Pa, Ppa, make_p_exp, support, trim_survivors,
                        validate_pa, word_prob)
+from nfareduce.langprob import _continuation_mass, _solve
 
-from util import (AB, ABC, naive_total_mass, random_pa, word_weight,
-                  words_upto)
+from util import (AB, ABC, BA, DictPpa, naive_total_mass, random_pa,
+                  word_weight, words_upto)
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 class TestValidate:
@@ -166,3 +173,64 @@ class TestInvariants:
                 right = mats[sym] @ right
             assert float(left @ right) == pytest.approx(
                 word_prob(p, u + v), abs=1e-12)
+
+
+@st.composite
+def quadruples(draw):
+    """(alphabet, states, transitions): random quadruples over AB in
+    either order, then some of them again, once with weight zero and once
+    with a new weight.  Weights are multiples of 1/56 up to 1/8, so a
+    state's six possible transitions weigh less than 1 and I - T is
+    nonsingular."""
+    n = draw(st.integers(1, 3))
+    states = st.integers(0, n - 1)
+    weight = st.integers(0, 7).map(lambda k: k / 56)
+    quads = draw(st.lists(st.tuples(states, st.sampled_from(AB), states,
+                                    weight), max_size=16))
+    again = draw(st.lists(st.sampled_from(quads), max_size=4)) if quads else []
+    quads += [(src, sym, dst, 0.0) for src, sym, dst, _w in again]
+    quads += [(src, sym, dst, draw(weight)) for src, sym, dst, _w in again]
+    return draw(st.sampled_from([AB, BA])), n, quads
+
+
+class TestStore:
+    """The edge arrays and rows of ``Ppa`` against the per-symbol dict
+    rows they replace."""
+
+    @SETTINGS
+    @given(quadruples())
+    def test_store_reads_back_as_dict_rows(self, case):
+        alphabet, n, quads = case
+        final = [(q + 1) / 7 for q in range(n)]
+        p = Ppa(alphabet, [1.0] + [0.0] * (n - 1), final, quads)
+        want = DictPpa(alphabet, n, quads)
+        entries = list(want.entries())
+        assert list(p.entries()) == entries
+        assert all(type(w) is float for *_rest, w in p.entries())
+        for q in range(n):
+            assert p.out_mass(q) == want.out_mass(q)
+            for sym in alphabet:
+                assert p.row(sym, q) == want.row(sym, q)
+        # the solve on the entries as lists, as z was first computed
+        src, dst, weight = ([e[i] for e in entries] for i in (0, 2, 3))
+        old = _solve(n, np.array(src, dtype=np.intp),
+                     np.array(dst, dtype=np.intp),
+                     np.array(weight, dtype=float), np.array(final))
+        assert _continuation_mass(p).tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("quad", [
+        (0, "c", 0, 0.5), (0, "a", 2, 0.5), (-1, "a", 0, 0.5),
+        (0, "a", 0, -0.5)])
+    def test_store_rejects_as_dict_rows(self, quad):
+        with pytest.raises(ValueError) as want:
+            DictPpa(AB, 2, [quad])
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            Ppa(AB, [1.0, 0.0], [0.5, 0.5], [quad])
+
+    def test_reweighted_model_shares_the_store(self):
+        p = make_p_exp(AB)
+        pz = p._reweighted([0.75])
+        assert pz.final == (0.75,) and p.final == (1 / 3,)
+        assert pz.src is p.src and pz.weight is p.weight
+        assert pz._rows is p._rows
+        assert list(pz.entries()) == list(p.entries())

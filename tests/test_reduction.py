@@ -11,9 +11,9 @@ from nfareduce import (Nfa, ReductionConfig, StateLabelling, accepts,
                        greedy_error_driven, greedy_size_driven, label_prune,
                        label_selfloop, make_p_exp, minimize_prune_set,
                        minimize_selfloop_set, prune_survivors, reduce_prune,
-                       reduce_selfloop, selfloop_survivors)
+                       reduce_selfloop, restrict, selfloop_survivors)
 
-from util import (AB, BA, a2, lang_upto, nfas, oracle_greedy,
+from util import (AB, BA, a2, lang_upto, nfa_self_loop, nfas, oracle_greedy,
                   oracle_minimize_prune_set, random_nfa, random_pa,
                   same_automaton, words_upto)
 
@@ -117,6 +117,17 @@ class TestAgainstOracles:
         lab = tied_labels(data, a.num_states)
         assert minimize_prune_set(a, v, lab) == \
             oracle_minimize_prune_set(a, v, lab)
+
+    @SETTINGS
+    @given(nfas(), st.data())
+    def test_reduce_selfloop_matches_looping_every_member(self, a, data):
+        # members that do not survive included: only the survivors are
+        # looped, which must build the same automaton
+        flags = data.draw(st.lists(st.booleans(), min_size=a.num_states,
+                                   max_size=a.num_states))
+        v = frozenset(q for q, flag in enumerate(flags) if flag)
+        want = restrict(nfa_self_loop(a, v), selfloop_survivors(a, v))
+        assert same_automaton(reduce_selfloop(a, v), want)
 
     @SETTINGS
     @given(nfas(min_states=2), st.data())

@@ -1,6 +1,7 @@
 """Shared fixtures and oracles for the tests.
 
 - Hand automata and random instance generators, plain and ``hypothesis``.
+- ``DictPpa``, the per-symbol dict rows the ``Ppa`` store replaces.
 - Constructions the library does not need, built through ``Nfa(...)``
   with every transition checked: the disjoint union, the product
   automaton, the back-language acceptor and the untrimmed through-state
@@ -312,6 +313,48 @@ def same_dfa_language(d1, d2):
     start = (min(d1.initial, default=None), min(d2.initial, default=None))
     pairs, _ = _explore([start], step)
     return all((q1 in d1.final) == (q2 in d2.final) for q1, q2 in pairs)
+
+
+class DictPpa:
+    """A ``Ppa``'s transitions stored as its first version stored them, in
+    per-symbol dict rows ``symbol -> {src -> {dst -> weight}}`` re-keyed
+    ascending, with the same checks and messages: zero weights dropped, a
+    repeated (src, symbol, dst) keeping its last nonzero weight.  The edge
+    arrays and rows of ``Ppa`` must read back as these do."""
+
+    def __init__(self, alphabet, num_states, transitions):
+        self.alphabet = tuple(alphabet)
+        index = {s: i for i, s in enumerate(self.alphabet)}
+        trans = {}
+        for src, sym, dst, w in transitions:
+            if sym not in index:
+                raise ValueError(f"transition symbol {sym!r} not in alphabet")
+            if not (0 <= src < num_states and 0 <= dst < num_states):
+                raise ValueError(f"transition state out of range: {(src, dst)}")
+            w = float(w)
+            if w < 0.0:
+                raise ValueError("transition weights must be nonnegative")
+            if w == 0.0:
+                continue
+            trans.setdefault(sym, {}).setdefault(src, {})[dst] = w
+        self.num_states = num_states
+        self._trans = {
+            sym: {src: dict(sorted(rows[src].items())) for src in sorted(rows)}
+            for sym, rows in sorted(trans.items(),
+                                    key=lambda kv: index[kv[0]])}
+
+    def row(self, sym, src):
+        return self._trans.get(sym, {}).get(src, {})
+
+    def entries(self):
+        for src in range(self.num_states):
+            for sym in self.alphabet:
+                for dst, w in self.row(sym, src).items():
+                    yield src, sym, dst, w
+
+    def out_mass(self, src):
+        return sum(w for sym in self.alphabet
+                   for w in self.row(sym, src).values())
 
 
 def ppa_product(p, a, final_weights="model", trimmed=True):
