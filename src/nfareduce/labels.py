@@ -9,10 +9,13 @@ pointwise.
 
 Every label is the probability (or weight) of a language derived from one
 state, so it only depends on the weakly-connected component that state
-lives in, and labels are computed component by component.  p1, p2 and sl1
-are read off one automaton per component, the labelling engine: the
-component is determinized once (under ``det_cap``), its DFA is multiplied
-with the PA once, and one solve gives the row vector
+lives in, and labels are computed component by component.  Each component
+is first quotiented into its symbol classes, with the PA's weights summed
+per class (``langprob._quotient``); every automaton built from it is then
+over those classes, and each ``prob_lang`` refines them for its own
+automaton.  p1, p2 and sl1 are read off one automaton per component, the
+labelling engine: the component is determinized once (under ``det_cap``),
+its DFA is multiplied with the PA once, and one solve gives the row vector
 y = initial . (I - E)^-1 of that product, the expected number of visits of
 each (PA state, subset) pair.  The words that reach q are exactly the
 words whose subset contains q, so:
@@ -28,10 +31,10 @@ state, each under ``det_cap``:
 
 - sl2(q) is the probability of q's first-hit words (``first_hit``, the
   through-state acceptor cut at q, in which every subset that holds q
-  becomes {q} and stops) under the continuation-mass model: the PA with
-  its final weights replaced by z = (I - T)^-1 . final and its store
-  shared (``Ppa._reweighted``), under which a word weighs the probability
-  that a random word starts with it;
+  becomes {q} and stops) under the continuation-mass model: the
+  component's class PA with its final weights replaced by the PA's
+  z = (I - T)^-1 . final and its store shared (``Ppa._reweighted``), under
+  which a word weighs the probability that a random word starts with it;
 - p3(q) and the subtrahend of sl3(q) are the words with an accepting run
   through q, which a subset does not tell: one ``prob_lang`` of
   ``through_state``, which determinizes that state's acceptor.
@@ -43,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .langprob import (_as_prob, _continuation_mass, _solve_y, prob_lang,
-                       product_pa_nfa)
+from .langprob import (_as_prob, _continuation_mass, _quotient, _solve_y,
+                       prob_lang, product_pa_nfa)
 from .nfa import (DEFAULT_DET_CAP, components, determinize_with_subsets,
                   first_hit, reach, restrict_with_map, same_alphabet,
                   through_state)
@@ -157,14 +160,18 @@ def _label(a, p, variant, kind, det_cap):
     if variant not in (1, 2, 3):
         raise ValueError(f"label variant must be 1, 2 or 3, got {variant!r}")
     same_alphabet(p, a)
-    # the words under pz weigh the probability of their extensions
-    pz = (p._reweighted(_continuation_mass(p).tolist())
-          if kind == "selfloop" and variant > 1 else None)
+    z = (_continuation_mass(p).tolist()
+         if kind == "selfloop" and variant > 1 else None)
     values = [0.0] * a.num_states
     for comp in components(a):
         sub, origins = restrict_with_map(a, comp)
-        local = (_prune_labels(sub, p, variant, det_cap) if kind == "prune"
-                 else _selfloop_labels(sub, p, variant, det_cap, pz))
+        pc, (sub,) = _quotient(p, [sub])
+        if kind == "prune":
+            local = _prune_labels(sub, pc, variant, det_cap)
+        else:
+            # the words under pz weigh the probability of their extensions
+            pz = pc._reweighted(z) if z is not None else None
+            local = _selfloop_labels(sub, pc, variant, det_cap, pz)
         for orig_q, value in zip(origins, local):
             values[orig_q] = value
     prefix = "p" if kind == "prune" else "sl"

@@ -1,12 +1,25 @@
 """Probability of a regular language under a PA.
 
-The pipeline follows the product + linear-system method: determinize the
-automaton unless it is deterministic already, build its product with the
-PA, sum the per-symbol matrices into E, and evaluate
-initial . (I - E)^-1 . final.  With a deterministic automaton, E is
-dominated entry by entry by the PA's own transition matrix, whose spectral
-radius is below 1, so the product needs no trimming: the matrix star (the
-sum of all powers of E) equals (I - E)^-1.
+The pipeline follows the product + linear-system method: quotient the
+alphabet into symbol classes, determinize the automaton unless it is
+deterministic already, build its product with the PA, sum the per-symbol
+matrices into E, and evaluate initial . (I - E)^-1 . final.  With a
+deterministic automaton, E is dominated entry by entry by the PA's own
+transition matrix, whose spectral radius is below 1, so the product needs
+no trimming: the matrix star (the sum of all powers of E) equals
+(I - E)^-1.
+
+The symbol classes (``_quotient``) are the sets of symbols on which every
+state of the automaton has the same successors: a Sigma*-prefixed rule's
+per-state acceptor tells apart about ten classes of the 256 bytes.  The
+automaton keeps one move per class and the PA sums its weights per class,
+so the subset construction, the product and its edge arrays scale with the
+classes rather than the alphabet, at the cost of one pass over the moves.
+A symbol without moves is in none of them, so it stays a class of its
+own, and an automaton that only lacks moves is used as it is.
+``prob_lang`` quotients its automaton; ``labels`` and ``distance`` quotient
+a component or both operands first, so each later quotient refines a class
+alphabet.
 
 The product (``product_pa_nfa``) is one ``_explore`` over pairs numbered
 by one integer each, whose edges are labelled by the PA edge they take, so
@@ -28,8 +41,8 @@ start-up time and resident memory than its dense solves do.
 
 The labelling engine (``labels``) takes y itself (``_solve_y``), on the
 product with a component's DFA.  The other labels are ``prob_lang`` calls;
-sl2's is under the continuation-mass model, the PA with its final weights
-replaced by ``_continuation_mass``, on a state's first-hit DFA.
+sl2's is under the continuation-mass model, the class PA with its final
+weights replaced by ``_continuation_mass``, on a state's first-hit DFA.
 """
 
 from dataclasses import dataclass
@@ -37,7 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .nfa import DEFAULT_DET_CAP, _explore, determinize, same_alphabet
+from .nfa import (DEFAULT_DET_CAP, Nfa, _explore, determinize,
+                  same_alphabet)
 from .pa import Ppa
 
 DENSE_SOLVE_LIMIT = 2000
@@ -276,9 +290,79 @@ def _deterministic(a):
                                        for dsts in moves.values())
 
 
+def _quotient(p, automata):
+    """``p`` and ``automata`` (over one alphabet) over the classes of
+    symbols on which every state of every automaton has the same
+    successors, as (class PA, class automata); a symbol without moves is a
+    class of its own, and a class is named by its first symbol in the
+    automata's alphabet order.  They are returned themselves when no two
+    symbols share a class.
+
+    The class automata keep one move per class, and the class PA sums the
+    PA's weights per class.  Both are exact for the probability of any
+    language the automata define: within a class every symbol moves alike,
+    so a PA x DFA product's entry E[(p, s), (p', s')] is the shared move
+    times the sum over the class of T_a[p, p'].  The PA's own successors
+    need not refine the classes.
+    """
+    a0 = automata[0]
+    for a in automata[1:]:
+        same_alphabet(a0, a)
+    same_alphabet(p, a0)
+    # each symbol's signature: its (automaton, state, successors), in one
+    # pass over the moves.  A symbol without moves takes part in no subset
+    # construction or product, so merging it would save nothing and cost a
+    # class PA: it stays a class of its own.
+    sigs = {}
+    for i, a in enumerate(automata):
+        for q, moves in a._delta.items():
+            key = (i, q)
+            for sym, dsts in moves.items():
+                sig = sigs.get(sym)
+                if sig is None:
+                    sigs[sym] = [key, dsts]
+                else:
+                    sig += key, dsts
+    ids = {}
+    sig_id = {sym: ids.setdefault(tuple(sig), len(ids))
+              for sym, sig in sigs.items()}
+    if len(ids) == len(sig_id):
+        return p, automata
+    classes = {}
+    reps = []
+    class_of = []
+    for sym in a0.alphabet:
+        g = sig_id.get(sym)
+        c = len(reps) if g is None else classes.setdefault(g, len(reps))
+        if c == len(reps):
+            reps.append(sym)
+        class_of.append(c)
+    alphabet = tuple(reps)
+    cls = np.array(class_of, np.intp)
+    if p.alphabet != a0.alphabet:
+        cls = cls[[a0._sym_index[sym] for sym in p.alphabet]]
+    pc = p._summed(alphabet, cls)
+    index = pc._sym_index
+    quotients = []
+    for a in automata:
+        delta = {}
+        for q, moves in a._delta.items():
+            kept = [(sym, dsts) for sym, dsts in moves.items()
+                    if sym in index]
+            if a.alphabet != a0.alphabet:
+                kept.sort(key=lambda move: index[move[0]])
+            delta[q] = dict(kept)
+        # the class PA lends its alphabet
+        quotients.append(Nfa._built(a.num_states, pc, delta, a.initial,
+                                    a.final, a.name))
+    return pc, quotients
+
+
 def prob_lang(p, a, det_cap=DEFAULT_DET_CAP):
-    """Probability of L(a) under PA ``p``, in [0, 1].  An automaton that is
-    not deterministic is determinized first, under ``det_cap``."""
+    """Probability of L(a) under PA ``p``, in [0, 1], over the symbol
+    classes of ``a`` (``_quotient``).  An automaton that is not
+    deterministic is determinized first, under ``det_cap``."""
+    p, (a,) = _quotient(p, [a])
     if not _deterministic(a):
         a = determinize(a, det_cap)
     return _as_prob(_solve_star(product_pa_nfa(p, a)))

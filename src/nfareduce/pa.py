@@ -67,20 +67,57 @@ class Ppa:
                 trans[src, self._sym_index[sym], dst] = w
         keys = sorted(trans)
         cols = list(zip(*keys)) or [()] * 3
-        self.src, self.sym, self.dst = (np.array(c, np.intp) for c in cols)
-        self.weight = np.array([trans[k] for k in keys], dtype=float)
-        self._rows = {}
-        for e, (src, k, dst) in enumerate(keys):
-            row = self._rows.setdefault(src, {})
-            row[alphabet[k]] = row.get(alphabet[k], ()) + ((e, dst),)
+        self._fill(*(np.array(c, np.intp) for c in cols),
+                   np.array([trans[k] for k in keys], dtype=float))
+
+    def _fill(self, src, sym, dst, weight):
+        """Take the edge arrays, already in edge order, as the store, and
+        index them by per-state rows."""
+        self.src, self.sym, self.dst, self.weight = src, sym, dst, weight
+        self._rows = rows = {}
+        alphabet = self.alphabet
+        for e, (s, k, d) in enumerate(zip(src.tolist(), sym.tolist(),
+                                          dst.tolist())):
+            row = rows.get(s)
+            if row is None:
+                row = rows[s] = {}
+            x = alphabet[k]
+            row[x] = row.get(x, ()) + ((e, d),)
+
+    def _copy(self):
+        """A ``Ppa`` sharing every slot of this one."""
+        p = object.__new__(Ppa)
+        for slot in Ppa.__slots__:
+            setattr(p, slot, getattr(self, slot))
+        return p
 
     def _reweighted(self, final):
         """This automaton with the final weights ``final``, sharing its
         transition store; nothing is checked, as in ``Nfa._built``."""
-        p = object.__new__(Ppa)
-        for slot in Ppa.__slots__:
-            setattr(p, slot, getattr(self, slot))
+        p = self._copy()
         p.final = tuple(final)
+        return p
+
+    def _summed(self, alphabet, classes):
+        """This automaton over ``alphabet``, whose symbol ``k`` stands for
+        the symbols ``i`` of this one with ``classes[i] == k``: the weights
+        of the edges with one source, class and target are summed, in edge
+        order.  Nothing is checked, as in ``_reweighted``."""
+        n = self.num_states
+        # one integer per (source, class, target), in edge order
+        key = (self.src * len(alphabet) + classes[self.sym]) * n + self.dst
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        # each run of equal keys is one edge
+        new = np.ones(len(key), bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        key = key[starts]
+        p = self._copy()
+        p.alphabet = alphabet
+        p._sym_index = {s: i for i, s in enumerate(alphabet)}
+        p._fill(key // (len(alphabet) * n), key // n % len(alphabet),
+                key % n, np.add.reduceat(self.weight[order], starts))
         return p
 
     def row(self, sym, src):

@@ -94,6 +94,15 @@ def test_one_determinization_per_component(monkeypatch, kind, variant):
     assert calls == [(sub, None) for sub in subs]
 
 
+def with_c_as_b(a):
+    """``a`` over ("b", "a", "c"), with "c" moving as "b" does, so the two
+    share a symbol class."""
+    return nfa.Nfa(a.num_states, BA + ("c",),
+                   [(q, x, d) for q, sym, d in a.transitions()
+                    for x in ((sym, "c") if sym == "b" else (sym,))],
+                   a.initial, a.final)
+
+
 @pytest.mark.parametrize("variant", [2, 3])
 def test_selfloop_runs_no_engine(monkeypatch, variant):
     # sl2 determinizes each state's back-language acceptor, with the
@@ -101,19 +110,28 @@ def test_selfloop_runs_no_engine(monkeypatch, variant):
     # language-only determinizations, one per through-state acceptor.  The
     # acceptor of an initial state accepts its component's whole language,
     # so that one can be the component itself, but every call carries
-    # traps, which the engine never passes.
+    # traps, which the engine never passes.  Each component and each
+    # acceptor is over its symbol classes, so the acceptors are matched as
+    # ``prob_lang`` quotients them; with "c" moving as "b", every one of
+    # them is over two classes.
     calls = record_determinizations(monkeypatch)
-    p = random_pa(random.Random(7), max_states=3, alphabet=BA)
-    a = two_components()
-    label_selfloop(a, p, variant)
-    subs = [restrict(a, comp) for comp in components(a)]
-    acceptors = [through_state(sub, q) for sub in subs
-                 for q in range(sub.num_states)]
-    assert all(traps is not None for _, traps in calls)
-    through = [b for b, _ in calls if b in acceptors]
-    first_hits = [b for b, _ in calls if b not in acceptors]
-    assert (len(first_hits), len(through)) == (8, 0 if variant == 2 else 8)
-    assert not any(b in subs for b in first_hits)
+    for a in (two_components(), with_c_as_b(two_components())):
+        calls.clear()
+        p = random_pa(random.Random(7), max_states=3, alphabet=a.alphabet)
+        label_selfloop(a, p, variant)
+        subs, acceptors = [], []
+        for comp in components(a):
+            pc, (sub,) = langprob._quotient(p, [restrict(a, comp)])
+            subs.append(sub)
+            acceptors += [langprob._quotient(pc, [through_state(sub, q)])[1][0]
+                          for q in range(sub.num_states)]
+        assert all(traps is not None for _, traps in calls)
+        assert all(len(b.alphabet) == 2 for b, _ in calls)
+        through = [b for b, _ in calls if b in acceptors]
+        first_hits = [b for b, _ in calls if b not in acceptors]
+        assert (len(first_hits), len(through)) == (8, 0 if variant == 2
+                                                   else 8)
+        assert not any(b in subs for b in first_hits)
 
 
 @pytest.mark.parametrize("kind, variant, per_state, engine_solves", [

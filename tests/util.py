@@ -146,9 +146,9 @@ def product_with_pairs(a1, a2):
     i = 0
     while i < len(pairs):
         q1, q2 = pairs[i]
-        for sym in a1.alphabet:
-            for pair in itertools.product(a1.succ(q1, sym),
-                                          a2.succ(q2, sym)):
+        # a1's moves come in alphabet order; a symbol without one adds none
+        for sym, dsts in a1.moves(q1):
+            for pair in itertools.product(dsts, a2.succ(q2, sym)):
                 if pair not in index:
                     index[pair] = len(pairs)
                     pairs.append(pair)
