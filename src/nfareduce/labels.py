@@ -46,11 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .langprob import (_as_prob, _continuation_mass, _quotient, _solve_y,
-                       prob_lang, product_pa_nfa)
+from .langprob import (_aligned, _as_prob, _continuation_mass, _quotient,
+                       _solve_y, prob_lang, product_pa_nfa)
 from .nfa import (DEFAULT_DET_CAP, components, determinize_with_subsets,
-                  first_hit, reach, restrict_with_map, same_alphabet,
-                  through_state)
+                  first_hit, reach, restrict_with_map, through_state)
 
 # below this share of sl2, a negative sl3 counts as round-off; beyond, it
 # signals an internal inconsistency
@@ -159,7 +158,8 @@ def _selfloop_labels(sub, p, variant, det_cap, pz):
 def _label(a, p, variant, kind, det_cap):
     if variant not in (1, 2, 3):
         raise ValueError(f"label variant must be 1, 2 or 3, got {variant!r}")
-    same_alphabet(p, a)
+    # z too is summed in the automaton's alphabet order
+    p = _aligned(p, a)
     z = (_continuation_mass(p).tolist()
          if kind == "selfloop" and variant > 1 else None)
     values = [0.0] * a.num_states

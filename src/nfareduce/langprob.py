@@ -21,6 +21,12 @@ own, and an automaton that only lacks moves is used as it is.
 a component or both operands first, so each later quotient refines a class
 alphabet.
 
+The operands are aligned to the automaton's alphabet order once, on entry
+(``_aligned``), before any quotient: a PA over a permutation of that
+alphabet has its edges re-sorted, with its weights unchanged, so every sum
+over them, per class or per (source, target), runs in one order and no
+result depends on the order of a file's alphabet line.
+
 The product (``product_pa_nfa``) is one ``_explore`` over pairs numbered
 by one integer each, whose edges are labelled by the PA edge they take, so
 it allocates no tuple per edge; it reads the one store of a ``Ppa``, whose
@@ -100,14 +106,11 @@ def product_pa_nfa(p, a):
 
     ``_explore`` numbers the pair (qp, qa) as the integer qp * n + qa, with
     n the states of ``a``, and labels each edge with its PA edge number,
-    so an edge allocates no tuple.  A pair walks the shorter of its PA
-    state's symbols and its automaton state's moves; both are in alphabet
-    order, so the pairs are found in the same order either way.  A PA over
-    a permutation of ``a``'s alphabet lists its symbols in another order,
-    so then the pairs walk ``a``'s moves.
+    so an edge allocates no tuple.  The PA is first aligned to ``a``'s
+    alphabet order (``_aligned``); a pair then walks its automaton state's
+    moves and looks each symbol up in its PA state's row.
     """
-    same_alphabet(p, a)
-    same_order = p.alphabet == a.alphabet
+    p = _aligned(p, a)
     rows, delta = p._rows, a._delta
     n = a.num_states
 
@@ -117,16 +120,12 @@ def product_pa_nfa(p, a):
         moves = delta.get(qa)
         if not row or not moves:
             return
-        if same_order and len(row) < len(moves):
-            hits = [(moves[sym], out) for sym, out in row.items()
-                    if sym in moves]
-        else:
-            hits = [(dsts, row[sym]) for sym, dsts in moves.items()
-                    if sym in row]
-        for dsts, out in hits:
-            for qa2 in dsts:
-                for e, qp2 in out:
-                    yield e, qp2 * n + qa2
+        for sym, dsts in moves.items():
+            out = row.get(sym)
+            if out:
+                for qa2 in dsts:
+                    for e, qp2 in out:
+                        yield e, qp2 * n + qa2
 
     starts = [qp * n + qa for qp in range(p.num_states)
               if p.initial[qp] > 0.0 for qa in sorted(a.initial)]
@@ -141,8 +140,6 @@ def product_pa_nfa(p, a):
     dst = np.array(dst, dtype=np.intp)
     labels = np.array(labels, dtype=np.intp)
     sym, weight = p.sym[labels], p.weight[labels]
-    if not same_order:
-        sym = np.array([a._sym_index[x] for x in p.alphabet], np.intp)[sym]
     # the order of Ppa.entries(): by source, alphabet index, target
     perm = np.lexsort((dst, sym, src))
     return ProductPpa(a.alphabet, tuple(pairs), initial, final, src[perm],
@@ -290,13 +287,32 @@ def _deterministic(a):
                                        for dsts in moves.values())
 
 
+def _aligned(x, like):
+    """``x``, a PA or an automaton, over the alphabet order of ``like``,
+    or ``x`` itself when the two orders agree; AlphabetMismatchError when
+    their symbols differ.  The PA is ``_summed`` with each symbol a class
+    of its own, so every weight keeps its bits; the automaton's moves are
+    re-sorted.  Every sum over a PA's edges then runs in one order, so no
+    result depends on the order a file lists its alphabet in."""
+    if x.alphabet == like.alphabet:
+        return x
+    same_alphabet(x, like)
+    index = like._sym_index
+    if isinstance(x, Ppa):
+        return x._summed(like.alphabet,
+                         np.array([index[sym] for sym in x.alphabet], np.intp))
+    delta = {q: dict(sorted(moves.items(), key=lambda move: index[move[0]]))
+             for q, moves in x._delta.items()}
+    return Nfa._built(x.num_states, like, delta, x.initial, x.final, x.name)
+
+
 def _quotient(p, automata):
-    """``p`` and ``automata`` (over one alphabet) over the classes of
-    symbols on which every state of every automaton has the same
-    successors, as (class PA, class automata); a symbol without moves is a
-    class of its own, and a class is named by its first symbol in the
-    automata's alphabet order.  They are returned themselves when no two
-    symbols share a class.
+    """``p`` and ``automata``, which share one alphabet order
+    (``_aligned``), over the classes of symbols on which every state of
+    every automaton has the same successors, as (class PA, class
+    automata); a symbol without moves is a class of its own, and a class
+    is named by its first symbol in that order.  They are returned
+    themselves when no two symbols share a class.
 
     The class automata keep one move per class, and the class PA sums the
     PA's weights per class.  Both are exact for the probability of any
@@ -305,10 +321,6 @@ def _quotient(p, automata):
     times the sum over the class of T_a[p, p'].  The PA's own successors
     need not refine the classes.
     """
-    a0 = automata[0]
-    for a in automata[1:]:
-        same_alphabet(a0, a)
-    same_alphabet(p, a0)
     # each symbol's signature: its (automaton, state, successors), in one
     # pass over the moves.  A symbol without moves takes part in no subset
     # construction or product, so merging it would save nothing and cost a
@@ -331,27 +343,19 @@ def _quotient(p, automata):
     classes = {}
     reps = []
     class_of = []
-    for sym in a0.alphabet:
+    for sym in p.alphabet:
         g = sig_id.get(sym)
         c = len(reps) if g is None else classes.setdefault(g, len(reps))
         if c == len(reps):
             reps.append(sym)
         class_of.append(c)
-    alphabet = tuple(reps)
-    cls = np.array(class_of, np.intp)
-    if p.alphabet != a0.alphabet:
-        cls = cls[[a0._sym_index[sym] for sym in p.alphabet]]
-    pc = p._summed(alphabet, cls)
+    pc = p._summed(tuple(reps), np.array(class_of, np.intp))
     index = pc._sym_index
     quotients = []
     for a in automata:
-        delta = {}
-        for q, moves in a._delta.items():
-            kept = [(sym, dsts) for sym, dsts in moves.items()
-                    if sym in index]
-            if a.alphabet != a0.alphabet:
-                kept.sort(key=lambda move: index[move[0]])
-            delta[q] = dict(kept)
+        delta = {q: {sym: dsts for sym, dsts in moves.items()
+                     if sym in index}
+                 for q, moves in a._delta.items()}
         # the class PA lends its alphabet
         quotients.append(Nfa._built(a.num_states, pc, delta, a.initial,
                                     a.final, a.name))
@@ -362,7 +366,7 @@ def prob_lang(p, a, det_cap=DEFAULT_DET_CAP):
     """Probability of L(a) under PA ``p``, in [0, 1], over the symbol
     classes of ``a`` (``_quotient``).  An automaton that is not
     deterministic is determinized first, under ``det_cap``."""
-    p, (a,) = _quotient(p, [a])
+    p, (a,) = _quotient(_aligned(p, a), [a])
     if not _deterministic(a):
         a = determinize(a, det_cap)
     return _as_prob(_solve_star(product_pa_nfa(p, a)))

@@ -154,11 +154,19 @@ def _check_states(a, states):
 
 
 def same_alphabet(a1, a2):
-    """Check the two operands share one alphabet; return the ordered one of a1."""
-    if (a1.alphabet != a2.alphabet
-            and set(a1.alphabet) != set(a2.alphabet)):
+    """Check the two operands share one alphabet; return the ordered one of a1.
+    The error names the two sizes and at most 8 of the symbols in only one
+    of them, so that a byte alphabet does not fill a screen."""
+    if a1.alphabet == a2.alphabet:
+        return a1.alphabet
+    one, two = set(a1.alphabet), set(a2.alphabet)
+    if one != two:
+        only = ([s for s in a1.alphabet if s not in two]
+                + [s for s in a2.alphabet if s not in one])
+        shown = ", ".join(map(repr, only[:8])) + (", ..." if only[8:] else "")
         raise AlphabetMismatchError(
-            f"alphabets differ: {a1.alphabet!r} vs {a2.alphabet!r}")
+            f"alphabets differ: {len(one)} vs {len(two)} symbols, "
+            f"{len(only)} in only one: {shown}")
     return a1.alphabet
 
 

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from .labels import label_prune, label_selfloop
-from .langprob import _quotient, prob_lang
+from .langprob import _aligned, _quotient, prob_lang
 from .nfa import (DEFAULT_DET_CAP, Nfa, _check_states, _closure,
                   _live_states, _predecessors, _symmetric_difference,
                   restrict, same_alphabet, self_loop)
@@ -316,6 +316,8 @@ def distance(a1, a2, p, det_cap=DEFAULT_DET_CAP):
     of the two languages, one language-probability solve on the DFA that
     accepts it.  That DFA pairs the subsets of the two automata and has
     at most ``det_cap`` states, over the symbol classes of the two
-    automata together (``langprob._quotient``)."""
-    p, (a1, a2) = _quotient(p, [a1, a2])
+    automata together (``langprob._quotient``), in ``a1``'s alphabet
+    order."""
+    a2 = _aligned(a2, a1)
+    p, (a1, a2) = _quotient(_aligned(p, a1), [a1, a2])
     return prob_lang(p, _symmetric_difference(a1, a2, det_cap))

@@ -2,20 +2,26 @@
 
 The automata are drawn over six symbols: two or three base symbols, whose
 moves the others copy, so that their classes really merge.  The models are
-drawn over those six symbols and over a permutation of them; the class PA
-sums a model's weights per class whatever its alphabet order.
-``prob_lang`` and ``distance``, which quotient their automata, are held to
-``util.mp_lang`` and ``util.mp_distance``, which see every symbol.  Where
-every class is one symbol, the quotient returns its inputs themselves.
+drawn over those six symbols and over a permutation of them; the quotient
+takes its operands in one alphabet order, so they are aligned first
+(``langprob._aligned``), as the library does.  ``prob_lang`` and
+``distance``, which quotient their automata, are held to ``util.mp_lang``
+and ``util.mp_distance``, which see every symbol.  Where every class is
+one symbol, the quotient returns its inputs themselves.
+
+A model over a permutation of SIX changes no bit of ``prob_lang``,
+``distance`` or any of the six labellings: the library aligns it to the
+automaton's order before any sum over its weights.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from nfareduce import Nfa, Pa, distance, langprob, prob_lang
+from nfareduce import (Nfa, Pa, distance, label_prune, label_selfloop,
+                       langprob, prob_lang)
 
 from util import mp_distance, mp_lang, random_pa
 
@@ -82,7 +88,8 @@ def instances(draw):
 @given(instances())
 def test_classes_keep_prob_lang_and_distance(instance):
     a1, a2, p = instance
-    pc, (b1, b2) = langprob._quotient(p, [a1, a2])
+    pc, (b1, b2) = langprob._quotient(langprob._aligned(p, a1),
+                                      [a1, langprob._aligned(a2, a1)])
     assert len(pc.alphabet) < len(SIX)
     assert b1.alphabet == b2.alphabet == pc.alphabet
     for a in (a1, a2):
@@ -90,6 +97,26 @@ def test_classes_keep_prob_lang_and_distance(instance):
                                                 rel=1e-12, abs=0.0)
     assert distance(a1, a2, p) == pytest.approx(mp_distance(p, a1, a2),
                                                 rel=1e-12, abs=ZERO_FLOOR)
+
+
+def outputs(a1, a2, p):
+    """``prob_lang`` of ``a1``, ``distance`` and the six labellings of
+    ``a1`` under ``p``."""
+    return ([prob_lang(p, a1), distance(a1, a2, p)]
+             + [fn(a1, p, variant).values
+                for fn in (label_prune, label_selfloop)
+                for variant in (1, 2, 3)])
+
+
+# hypothesis 6.155's explain phase fails an assertion of its own on a
+# failing example here, which would hide the example
+@settings(SETTINGS, phases=[ph for ph in Phase if ph is not Phase.explain])
+@given(instances(), st.integers(0, 2 ** 32 - 1), st.permutations(SIX))
+def test_a_permuted_model_changes_no_bits(instance, seed, order):
+    a1, a2, _ = instance
+    p = random_pa(random.Random(seed), max_states=2, alphabet=SIX)
+    permuted = Pa(order, p.initial, p.final, p.entries())
+    assert outputs(a1, a2, permuted) == outputs(a1, a2, p)
 
 
 def test_a_quotient_without_merges_returns_its_inputs():

@@ -495,7 +495,8 @@ class TestLearnEval:
         sample.write_text("a\n")
         assert main(["eval", fa, str(other), "--sample", str(sample)]) == 2
         assert capsys.readouterr().err == (
-            "error: alphabets differ: ('a', 'b') vs ('a', 'c')\n")
+            "error: alphabets differ: 2 vs 2 symbols, 2 in only one: "
+            "'b', 'c'\n")
 
     def test_eval_det_cap(self, files, tmp_path, capsys, monkeypatch):
         _, fa, _ = files

@@ -4,12 +4,13 @@ constructions they replace, on random small automata and models.
 ``_explore`` returns its edges as three flat lists and still numbers keys
 in discovery order.  ``prob_lang`` tells a deterministic automaton by one
 pass over the store; such an automaton is unambiguous by the self-product
-oracle.  ``product_pa_nfa`` numbers its pairs by integers, labels its edges
-by PA edge and walks the shorter of a pair's two symbol sets, or the
-automaton's moves when the PA lists its symbols in another order; the
-oracle builds a ``Ppa`` transition by transition, and the two must agree
-bit for bit, on hypothesis' small PAs and on a seeded 40-state NFA whose
-product walks both sides.  Neither order leaves anything on the PA.
+oracle.  ``product_pa_nfa`` aligns the PA to the automaton's alphabet
+order, numbers its pairs by integers, labels its edges by PA edge and
+walks each pair's automaton moves, looking each symbol up in the PA row;
+the oracle builds a ``Ppa`` transition by transition, and the two must
+agree bit for bit, on hypothesis' small PAs and on a seeded 40-state NFA
+with pairs where either side has fewer symbols.  Neither order leaves
+anything on the PA.
 The subset construction and ``through_state`` fill the transition store
 without re-validation; rebuilding them through ``Nfa.__init__`` must give
 the same automaton.
@@ -146,7 +147,7 @@ def test_seeded_product_matches_ppa_construction_bit_for_bit():
             value = getattr(got, name)
             assert value.dtype == arr.dtype, name
             assert value.tobytes() == arr.tobytes(), name
-        # both sides of the shorter-side walk are taken
+        # some pairs have fewer PA symbols than moves, and some more
         pa_syms = [sum(1 for sym in p.alphabet if p.row(sym, qp))
                    for qp in range(p.num_states)]
         shorter = {pa_syms[qp] < len(b.moves(qa)) for qp, qa in pair_map

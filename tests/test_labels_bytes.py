@@ -10,14 +10,19 @@ switched off, so they see every byte.  All six label variants must match
 in ``test_label_engine``; sl3's oracle is sl2's less p3's, which is how
 ``oracle_labels`` computes it, so both are taken once.  The ``distance``
 of one greedy output is held to ``util.mp_distance``.
+
+The same model over the reversed byte order changes no bit of any
+labelling, of what either greedy mode chooses and bounds for either kind,
+or of the ``distance`` of each greedy output.
 """
 
 from unittest import mock
 
 import pytest
 
-from nfareduce import (ReductionConfig, distance, greedy_size_driven,
-                       label_prune, label_selfloop, langprob)
+from nfareduce import (Pa, ReductionConfig, distance, greedy_error_driven,
+                       greedy_size_driven, label_prune, label_selfloop,
+                       langprob, serialize_nfa)
 
 from util import byte_rule_set, mp_distance, oracle_labels
 
@@ -67,3 +72,27 @@ def test_distance_of_a_greedy_output_matches_mpmath(instance):
     assert want > 0.0
     assert distance(a, report.reduced, p) == pytest.approx(want, rel=1e-12,
                                                            abs=0.0)
+
+
+# an error budget per kind that sacrifices some states but not all
+BUDGETS = {"prune": 1e-15, "selfloop": 1e-2}
+
+
+def test_a_reversed_model_changes_no_bits(instance):
+    a, p = instance
+    rev = Pa(p.alphabet[::-1], p.initial, p.final, p.entries())
+    for fn in (label_prune, label_selfloop):
+        for variant in (1, 2, 3):
+            assert fn(a, rev, variant) == fn(a, p, variant)
+    for kind in ("prune", "selfloop"):
+        for greedy, cfg in (
+                (greedy_size_driven, ReductionConfig(kind, 2, "size", 51)),
+                (greedy_error_driven,
+                 ReductionConfig(kind, 2, "error", BUDGETS[kind]))):
+            want, got = greedy(a, p, cfg), greedy(a, rev, cfg)
+            assert 0 < len(want.chosen_set) < a.num_states
+            assert got.chosen_set == want.chosen_set
+            assert got.error_bound == want.error_bound
+            assert serialize_nfa(got.reduced) == serialize_nfa(want.reduced)
+            assert (distance(a, want.reduced, rev)
+                    == distance(a, want.reduced, p))

@@ -177,9 +177,15 @@ class TestSameAlphabet:
 
     def test_different_alphabet_raises(self):
         with pytest.raises(AlphabetMismatchError,
-                           match=r"alphabets differ: \('a', 'b'\) vs "
-                                 r"\('a', 'b', 'c'\)"):
+                           match=r"^alphabets differ: 2 vs 3 symbols, 1 in "
+                                 r"only one: 'c'$"):
             same_alphabet(universal(AB), universal(ABC))
+
+    def test_byte_against_text_alphabet_names_at_most_8_symbols(self):
+        with pytest.raises(AlphabetMismatchError,
+                           match=r"^alphabets differ: 256 vs 2 symbols, 258 "
+                                 r"in only one: 0, 1, 2, 3, 4, 5, 6, 7, \.\.\.$"):
+            same_alphabet(universal(tuple(range(256))), universal(AB))
 
 
 class TestUnionProduct:

@@ -27,7 +27,8 @@
   (``oracle_minimize_prune_set``), which the library replaces with one
   incremental search and a bisection.
 - ``byte_rule_set``: a byte-alphabet rule set and model at the paper's
-  shape, from the benchmark's generators.
+  shape, from the benchmark's generators, with universal sinks or in
+  several components on request.
 - ``eval_table``, which returns the lazy table ``traffic_error`` filled.
 """
 
@@ -609,13 +610,19 @@ def oracle_greedy(a, kind, mode, param, labels):
     return frozenset(chosen), bound(chosen), reduced
 
 
-def byte_rule_set(count, seed=1):
+def byte_rule_set(count, seed=1, sink_rules=(), groups=1):
     """A Sigma*-prefixed set of ``count`` byte rules from the benchmark's
     generators (``bench/generators.py``), and its model: rules of 8-10
     slots, each with one class and one ``x{1,2}`` repeat, seeded by
     ``"rules:<count>:<seed>"``; the model is learned on the last-byte
     skeleton from a 1,500-word text corpus with 5 % planted rule
-    literals.  Ten rules give 102 states in one component."""
+    literals.  Ten rules give 102 states in one component.
+
+    The rules numbered in ``sink_rules`` match anywhere: their accepting
+    states lead to a universal accepting sink.  With ``groups`` above 1
+    the rules are split into that many consecutive groups, each its own
+    Sigma*-prefixed set with its own sink, side by side, so the automaton
+    has one component per group."""
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "bench", "generators.py")
     spec = importlib.util.spec_from_file_location("bench_generators", path)
@@ -626,7 +633,17 @@ def byte_rule_set(count, seed=1):
              for _ in range(count)]
     literals = [gen.rule_literal(rng, r) for r in rules for _ in range(4)]
     corpus = gen.text_corpus(rng, literals, 1500, 20, 60, 0.05)
-    return (parse_nfa(gen.fa_text(gen.rule_set(rules))),
+    size = -(-count // groups)
+    n, transitions, initial, final = 0, [], [], []
+    for lo in range(0, count, size):
+        k, trans, init, fin = gen.rule_set(
+            rules[lo:lo + size],
+            {r - lo for r in sink_rules if lo <= r < lo + size})
+        transitions += [(src + n, b, dst + n) for src, b, dst in trans]
+        initial += [q + n for q in init]
+        final += [q + n for q in fin]
+        n += k
+    return (parse_nfa(gen.fa_text((n, transitions, initial, final))),
             parse_pa(gen.learn_model_text(gen.last_byte_skeleton(), corpus)))
 
 
