@@ -9,7 +9,8 @@ transition matrix, whose spectral radius is below 1, so the product needs
 no trimming: the matrix star (the sum of all powers of E) equals
 (I - E)^-1.
 
-The symbol classes (``_quotient``) are the sets of symbols on which every
+The symbol classes (``_quotient``, whose partition is
+``nfa._symbol_classes``) are the sets of symbols on which every
 state of the automaton has the same successors: a Sigma*-prefixed rule's
 per-state acceptor tells apart about ten classes of the 256 bytes.  The
 automaton keeps one move per class and the PA sums its weights per class,
@@ -49,6 +50,12 @@ The labelling engine (``labels``) takes y itself (``_solve_y``), on the
 product with a component's DFA.  The other labels are ``prob_lang`` calls;
 sl2's is under the continuation-mass model, the class PA with its final
 weights replaced by ``_continuation_mass``, on a state's first-hit DFA.
+
+``distance`` needs only the language of its symmetric-difference DFA,
+about half of whose pairs of subsets are equivalent, so it solves on the
+minimal DFA (``_minimal``: Moore's partition refinement, one ``np.unique``
+per round).  ``prob_lang`` does not minimize: a component's DFA or a
+per-state acceptor shrinks by a few percent at most.
 """
 
 from dataclasses import dataclass
@@ -56,8 +63,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .nfa import (DEFAULT_DET_CAP, Nfa, _explore, determinize,
-                  same_alphabet)
+from .nfa import (DEFAULT_DET_CAP, Nfa, _explore, _symbol_classes,
+                  determinize, same_alphabet)
 from .pa import Ppa
 
 DENSE_SOLVE_LIMIT = 2000
@@ -321,45 +328,66 @@ def _quotient(p, automata):
     times the sum over the class of T_a[p, p'].  The PA's own successors
     need not refine the classes.
     """
-    # each symbol's signature: its (automaton, state, successors), in one
-    # pass over the moves.  A symbol without moves takes part in no subset
-    # construction or product, so merging it would save nothing and cost a
-    # class PA: it stays a class of its own.
-    sigs = {}
-    for i, a in enumerate(automata):
-        for q, moves in a._delta.items():
-            key = (i, q)
-            for sym, dsts in moves.items():
-                sig = sigs.get(sym)
-                if sig is None:
-                    sigs[sym] = [key, dsts]
-                else:
-                    sig += key, dsts
-    ids = {}
-    sig_id = {sym: ids.setdefault(tuple(sig), len(ids))
-              for sym, sig in sigs.items()}
-    if len(ids) == len(sig_id):
+    class_of, quotients = _symbol_classes(automata)
+    if quotients is automata:
         return p, automata
-    classes = {}
-    reps = []
-    class_of = []
-    for sym in p.alphabet:
-        g = sig_id.get(sym)
-        c = len(reps) if g is None else classes.setdefault(g, len(reps))
-        if c == len(reps):
-            reps.append(sym)
-        class_of.append(c)
-    pc = p._summed(tuple(reps), np.array(class_of, np.intp))
-    index = pc._sym_index
-    quotients = []
-    for a in automata:
-        delta = {q: {sym: dsts for sym, dsts in moves.items()
-                     if sym in index}
-                 for q, moves in a._delta.items()}
-        # the class PA lends its alphabet
-        quotients.append(Nfa._built(a.num_states, pc, delta, a.initial,
-                                    a.final, a.name))
-    return pc, quotients
+    return (p._summed(quotients[0].alphabet, np.array(class_of, np.intp)),
+            quotients)
+
+
+def _minimal(like, n, edges, final):
+    """The minimal partial DFA of a DFA over the alphabet of ``like``:
+    states 0 .. n - 1, initial state 0, ``_explore``'s flat edge lists
+    ``edges`` and the final states ``final``.
+
+    Moore's refinement runs on a dense table with a dead row n, which every
+    missing move leads to.  Each round splits the blocks by (block, blocks
+    of the successors), one ``np.unique`` over the rows, until the number
+    of blocks stays.  The blocks are numbered by their smallest state, which
+    keeps the discovery order, so state 0 stays initial; each block takes
+    the row of its smallest state, and the dead block is left out.  When no
+    two states merge, the result is the DFA that ``_store(edges)`` gives.
+    When state 0 is dead, it is the one state, without moves.
+    """
+    src, labels, dst = edges
+    alphabet = like.alphabet
+    cols = np.fromiter(map(like._sym_index.__getitem__, labels), np.intp,
+                       len(labels))
+    table = np.full((n + 1, len(alphabet)), n, np.int32)
+    table[src, cols] = dst
+    accepts = np.zeros(n + 1, bool)
+    accepts[final] = True
+    block = accepts.astype(np.int32)
+    count = 1 + bool(final)
+    rows = np.empty((n + 1, len(alphabet) + 1), np.int32)
+    while True:
+        rows[:, 0] = block
+        rows[:, 1:] = block[table]
+        blocks, block = np.unique(rows.view((np.void, rows.strides[0])),
+                                  return_inverse=True)
+        block = block.ravel().astype(np.int32)
+        if len(blocks) == count:
+            break
+        count = len(blocks)
+    dead = block[n]
+    if block[0] == dead:
+        return Nfa._built(1, like, {}, [0], [])
+    _, first = np.unique(block, return_index=True)
+    first.sort()
+    first = first[block[first] != dead]
+    number = np.full(count, -1)
+    number[block[first]] = np.arange(len(first))
+    new = number[block]
+    # the store as ``_store`` fills it: moves in alphabet order, one
+    # successor tuple each, no entry for a state without moves
+    one = [(i,) for i in range(len(first))]
+    delta = {}
+    for i, row in enumerate(new[table[first]].tolist()):
+        moves = {alphabet[c]: one[j] for c, j in enumerate(row) if j >= 0}
+        if moves:
+            delta[i] = moves
+    return Nfa._built(len(first), like, delta, [0],
+                      np.flatnonzero(accepts[first]).tolist())
 
 
 def prob_lang(p, a, det_cap=DEFAULT_DET_CAP):

@@ -353,15 +353,51 @@ def _difference(a1, a2):
     return (_start(a1, traps1), _start(a2, traps2)), step, final
 
 
-def _symmetric_difference(a1, a2, cap=DEFAULT_DET_CAP):
-    """Partial DFA accepting the words in exactly one of L(a1) and L(a2):
-    ``_difference`` built by ``_explore``.  The pairs are numbered as the
-    subsets of the construction on the union of the two automata would be.
-    Raises DeterminizationCapError when more than ``cap`` pairs appear."""
-    start, step, final = _difference(a1, a2)
-    pairs, edges = _explore([start], step, cap)
-    return Nfa._built(len(pairs), a1, _store(edges), [0],
-                      [i for i, pair in enumerate(pairs) if final(pair)])
+def _symbol_classes(automata):
+    """The classes of symbols on which every state of every automaton in
+    ``automata``, which share one alphabet order, has the same successors,
+    as (class of each symbol in alphabet order, class automata).  A class
+    is named by its first symbol, and a symbol without moves is a class of
+    its own.  The class automata keep one move per class; they are
+    ``automata`` themselves when no two symbols share a class."""
+    # each symbol's signature: its (automaton, state, successors), in one
+    # pass over the moves.  A symbol without moves takes part in no subset
+    # construction or product, so merging it would save nothing and cost a
+    # class PA: it stays a class of its own.
+    sigs = {}
+    for i, a in enumerate(automata):
+        for q, moves in a._delta.items():
+            key = (i, q)
+            for sym, dsts in moves.items():
+                sig = sigs.get(sym)
+                if sig is None:
+                    sigs[sym] = [key, dsts]
+                else:
+                    sig += key, dsts
+    ids = {}
+    sig_id = {sym: ids.setdefault(tuple(sig), len(ids))
+              for sym, sig in sigs.items()}
+    alphabet = automata[0].alphabet
+    if len(ids) == len(sig_id):
+        return range(len(alphabet)), automata
+    classes = {}
+    reps = []
+    class_of = []
+    for sym in alphabet:
+        g = sig_id.get(sym)
+        c = len(reps) if g is None else classes.setdefault(g, len(reps))
+        if c == len(reps):
+            reps.append(sym)
+        class_of.append(c)
+    like = Nfa(0, reps)
+    index = like._sym_index
+    return class_of, [
+        Nfa._built(a.num_states, like,
+                   {q: {sym: dsts for sym, dsts in moves.items()
+                        if sym in index}
+                    for q, moves in a._delta.items()},
+                   a.initial, a.final, a.name)
+        for a in automata]
 
 
 def _trap(traps):

@@ -23,9 +23,9 @@ import time
 from dataclasses import dataclass
 
 from .labels import label_prune, label_selfloop
-from .langprob import _aligned, _quotient, prob_lang
+from .langprob import _aligned, _minimal, _quotient, prob_lang
 from .nfa import (DEFAULT_DET_CAP, Nfa, _check_states, _closure,
-                  _live_states, _predecessors, _symmetric_difference,
+                  _difference, _explore, _live_states, _predecessors,
                   restrict, same_alphabet, self_loop)
 
 KINDS = ("prune", "selfloop")
@@ -313,11 +313,16 @@ def greedy_error_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
 
 def distance(a1, a2, p, det_cap=DEFAULT_DET_CAP):
     """Probabilistic distance: the probability of the symmetric difference
-    of the two languages, one language-probability solve on the DFA that
-    accepts it.  That DFA pairs the subsets of the two automata and has
-    at most ``det_cap`` states, over the symbol classes of the two
-    automata together (``langprob._quotient``), in ``a1``'s alphabet
-    order."""
+    of the two languages, one language-probability solve on the minimal
+    DFA that accepts it.  The DFA built first (``nfa._difference``) pairs
+    the subsets of the two automata and has at most ``det_cap`` states,
+    over the symbol classes of the two automata together
+    (``langprob._quotient``), in ``a1``'s alphabet order; about half of
+    its pairs are equivalent, and ``langprob._minimal`` merges them."""
     a2 = _aligned(a2, a1)
     p, (a1, a2) = _quotient(_aligned(p, a1), [a1, a2])
-    return prob_lang(p, _symmetric_difference(a1, a2, det_cap))
+    start, step, final = _difference(a1, a2)
+    pairs, edges = _explore([start], step, det_cap)
+    return prob_lang(p, _minimal(a1, len(pairs), edges,
+                                 [i for i, pair in enumerate(pairs)
+                                  if final(pair)]))

@@ -15,10 +15,13 @@ ordered longest first, so the words still running at step t are a prefix;
 each step is then one array lookup ``table[state, symbol]`` for all of them.
 The skeleton is a complete DFA, so its table is dense from the start.
 ``traffic_error`` fills one lazy table instead: the symmetric-difference
-DFA that ``distance`` solves (``nfa._difference``), with an explicit dead
-state, whose rows are filled only when a run first reaches them.  Only the
-pairs of subsets the corpus leads to are built, at most ``DEFAULT_DET_CAP``
-of them, and a word is a mismatch when it ends in a final pair.
+DFA that ``distance`` minimizes and solves (``nfa._difference``), over the
+symbol classes of the two automata, with an explicit dead state, whose
+rows are filled only when a run first reaches them.  Its corpus is encoded
+as class columns rather than alphabet indices, so a row holds one entry per
+class.  Only the pairs of subsets the corpus leads to are built, at most
+``DEFAULT_DET_CAP`` of them, and a word is a mismatch when it ends in a
+final pair.
 """
 
 from itertools import chain
@@ -26,7 +29,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import DeterminizationCapError
-from .nfa import DEFAULT_DET_CAP, Nfa, _difference
+from .langprob import _aligned
+from .nfa import (DEFAULT_DET_CAP, Nfa, _difference, _symbol_classes,
+                  same_alphabet)
 from .pa import Pa
 
 
@@ -68,11 +73,12 @@ def count_events(skeleton, corpus):
 
     (init,) = skeleton.initial
     states = np.full(len(words), init, np.int64)
+    table = table.ravel()
     trans = np.zeros(n * k, np.int64)  # by source * k + symbol index
     for live, syms in _lockstep(words, index, "skeleton alphabet"):
-        src = states[:live]
-        np.add.at(trans, src * k + syms, 1)
-        states[:live] = table[src, syms]
+        key = states[:live] * k + syms
+        trans += np.bincount(key, minlength=n * k)
+        states[:live] = table[key]
     return trans.reshape(n, k), np.bincount(states, minlength=n)
 
 
@@ -129,21 +135,25 @@ def traffic_error(a, a_reduced, sample):
 
     Returns (mismatches, total, ratio); duplicates count with multiplicity.
     The mismatches are the sample words that ``distance``'s DFA accepts:
-    the runs step ``nfa._difference`` through one lazy table.  The two
+    the runs step ``nfa._difference`` of the two automata's class automata
+    (``nfa._symbol_classes``) through one lazy table with a column per
+    class, and each symbol of the sample is read as its class.  The two
     alphabets must agree, and every symbol of every word must be in them.
     Raises DeterminizationCapError when the table would need more than
     ``DEFAULT_DET_CAP`` pairs.  The table holds one int32 per (pair,
-    symbol): at the default cap and a byte alphabet, up to about 1 GiB,
-    twice that for the copy while it grows, besides the pairs themselves.
+    class): at the default cap and 256 classes, up to about 1 GiB, twice
+    that for the copy while it grows, besides the pairs themselves.
     """
-    index = a._sym_index
-    table = _LazyTable(*_difference(a, a_reduced), index, DEFAULT_DET_CAP)
+    same_alphabet(a, a_reduced)
+    class_of, (a1, a2) = _symbol_classes([a, _aligned(a_reduced, a)])
+    table = _LazyTable(*_difference(a1, a2), a1._sym_index, DEFAULT_DET_CAP)
     words = list(sample)
     if not words:
         raise ValueError("sample is empty")
     states = np.full(len(words), table.start, np.int32)
-    for live, syms in _lockstep(words, index, "alphabet"):
-        states[:live] = table.step(states[:live], syms)
+    for live, classes in _lockstep(words, dict(zip(a.alphabet, class_of)),
+                                   "alphabet"):
+        states[:live] = table.step(states[:live], classes)
     mismatches = int(np.count_nonzero(np.array(table.final)[states]))
     return mismatches, len(words), mismatches / len(words)
 
@@ -206,16 +216,17 @@ class _LazyTable:
 
 def _lockstep(words, index, alphabet_name):
     """Step the corpus in lockstep: yields, for each step t, the number of
-    words still running and their symbols at position t, as indices into
-    the alphabet that ``index`` numbers.
+    words still running and their symbols at position t, as the numbers
+    that ``index`` gives the symbols of the alphabet (their alphabet
+    indices, or their class columns).
 
-    The corpus is encoded once, as one flat int32 array of alphabet
-    indices.  A corpus of ``bytes`` words is joined into one buffer and
-    encoded by one lookup in a 256-entry table, -1 for a byte outside the
-    alphabet.  Other words go through ``index`` symbol by symbol, the only
-    path for string symbols (text corpora, tuples from callers).  Words are
-    taken longest first, so the words still running at step t are a
-    prefix.  The first symbol outside the alphabet raises ValueError.
+    The corpus is encoded once, as one flat int32 array of those numbers.
+    A corpus of ``bytes`` words is joined into one buffer and encoded by
+    one lookup in a 256-entry table, -1 for a byte outside the alphabet.
+    Other words go through ``index`` symbol by symbol, the only path for
+    string symbols (text corpora, tuples from callers).  Words are taken
+    longest first, so the words still running at step t are a prefix.  The
+    first symbol outside the alphabet raises ValueError.
     """
     lengths = np.fromiter(map(len, words), np.int64, len(words))
     try:

@@ -17,7 +17,7 @@ automaton's order before any sum over its weights.
 import random
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfareduce import (Nfa, Pa, distance, label_prune, label_selfloop,
@@ -108,9 +108,7 @@ def outputs(a1, a2, p):
                 for variant in (1, 2, 3)])
 
 
-# hypothesis 6.155's explain phase fails an assertion of its own on a
-# failing example here, which would hide the example
-@settings(SETTINGS, phases=[ph for ph in Phase if ph is not Phase.explain])
+@SETTINGS
 @given(instances(), st.integers(0, 2 ** 32 - 1), st.permutations(SIX))
 def test_a_permuted_model_changes_no_bits(instance, seed, order):
     a1, a2, _ = instance

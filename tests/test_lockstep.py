@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfareduce import Nfa, accepts, count_events, traffic_error
-from nfareduce.nfa import _symmetric_difference
 
-from util import BA, eval_table, per_word_count_events, trapped_nfas
+from util import (BA, eval_table, per_word_count_events, symmetric_difference,
+                  trapped_nfas)
 
 BYTES = (0x62, 0x00, 0xFF)
 ALPHABETS = [("b", "a"), BYTES]
@@ -105,7 +105,7 @@ def test_traffic_error_matches_per_word_accepts(case):
 def test_eval_counts_the_words_the_distance_dfa_accepts(case):
     a, b, sample = case
     (mismatches, _, _), table = eval_table(a, b, sample)
-    dfa = _symmetric_difference(a, b)
+    dfa = symmetric_difference(a, b)
     assert mismatches == sum(accepts(dfa, w) for w in sample)
     # every pair a sample reaches is a state of that DFA
     assert len(table.keys) - 1 <= dfa.num_states

@@ -12,14 +12,14 @@ from nfareduce import (Nfa, Pa, accepts, components, coreach, determinize,
                        trim, trim_survivors)
 from nfareduce.errors import AlphabetMismatchError, DeterminizationCapError
 from nfareduce.langprob import _deterministic
-from nfareduce.nfa import (_accept_all, _live_states, _symmetric_difference,
-                           first_hit, restrict_with_map, same_alphabet)
+from nfareduce.nfa import (_accept_all, _live_states, first_hit,
+                           restrict_with_map, same_alphabet)
 
 from util import (AB, ABC, BA, a2, banguage_nfa, canon_dfa, lang_upto,
                   nfa_restrict_with_map, nfa_self_loop, nfas, product,
                   random_nfa, same_automaton, same_dfa_language,
-                  self_product_unambiguous, stop_first_hit, trapped_nfas,
-                  union, words_upto)
+                  self_product_unambiguous, stop_first_hit,
+                  symmetric_difference, trapped_nfas, union, words_upto)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -310,7 +310,7 @@ class TestAcceptAll:
         a1 = Nfa(3, AB, [(0, "a", 1), (0, "b", 2), (2, "a", 2), (2, "b", 2)],
                  [0], [1, 2])
         a2 = Nfa(2, AB, [(0, "b", 1), (1, "a", 1), (1, "b", 1)], [0], [1])
-        sd = _symmetric_difference(a1, a2)
+        sd = symmetric_difference(a1, a2)
         assert sd == Nfa(2, AB, [(0, "a", 1)], [0], [1])
 
 

@@ -66,7 +66,7 @@ DENSE = {
 
 SPARSE = {
     "prob": "0x1.15bcdc78be326p-3",
-    "distance": "0x1.f662203bd653dp-4",
+    "distance": "0x1.f662203bd653fp-4",
     "p1": ("0x1.15bcdc78be326p-3", "0x1.a8bcc5ad30875p-7",
            "0x1.a8bcc5ad30875p-7", "0x1.a8bcc5ad30875p-7",
            "0x1.f662203bd653dp-4", "0x1.f662203bd653dp-4",

@@ -25,10 +25,11 @@ import nfareduce
 from nfareduce import (Nfa, Pa, accepts, determinize, determinize_with_subsets,
                        distance, prob_lang)
 from nfareduce import langprob
-from nfareduce.nfa import _accept_all, _symmetric_difference
+from nfareduce.nfa import _accept_all
 
-from util import (BA, mp_distance, mp_lang, mp_solve_y, nfas, trapped_nfas,
-                  union, union_symmetric_difference, weight_lang, words_upto)
+from util import (BA, mp_distance, mp_lang, mp_solve_y, nfas,
+                  symmetric_difference, trapped_nfas, union,
+                  union_symmetric_difference, weight_lang, words_upto)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -127,7 +128,7 @@ def test_distance_matches_mpmath_inclusion_exclusion(p, a1, a2):
 @SETTINGS
 @given(st.one_of(nfas(), trapped_nfas()), st.one_of(nfas(), trapped_nfas()))
 def test_symmetric_difference_dfa(a1, a2):
-    sd = _symmetric_difference(a1, a2)
+    sd = symmetric_difference(a1, a2)
     assert len(sd.initial) == 1
     assert all(len(dsts) == 1 for q in range(sd.num_states)
                for _sym, dsts in sd.moves(q))
@@ -142,7 +143,7 @@ def test_symmetric_difference_of_two_universal_starts():
                  [0], [0])
     for a1, a2 in ((universal, universal), (universal, looped),
                    (looped, universal)):
-        sd = _symmetric_difference(a1, a2)
+        sd = symmetric_difference(a1, a2)
         assert (sd.num_states, sd.num_transitions()) == (1, 0)
         assert sd.initial == {0} and not sd.final
 
@@ -157,7 +158,7 @@ def test_symmetric_difference_without_accept_all_states_is_plain(a1, a2):
     plain = Nfa(dfa.num_states, BA, dfa.transitions(), dfa.initial,
                 [i for i, s in enumerate(subsets)
                  if bool(s & a1.final) != bool(s & final2)])
-    assert _symmetric_difference(a1, a2) == plain
+    assert symmetric_difference(a1, a2) == plain
 
 
 @SETTINGS
@@ -167,7 +168,7 @@ def test_symmetric_difference_is_the_cut_union_construction(a1, a2, swap):
     # construction on the union cut per side: state for state
     if swap:
         a1, a2 = a2, a1
-    assert _symmetric_difference(a1, a2) == union_symmetric_difference(a1, a2)
+    assert symmetric_difference(a1, a2) == union_symmetric_difference(a1, a2)
 
 
 @pytest.mark.parametrize("limit", [langprob.DENSE_SOLVE_LIMIT, 0],

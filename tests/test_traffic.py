@@ -9,9 +9,9 @@ from nfareduce import (AlphabetMismatchError, DeterminizationCapError, Nfa,
                        accepts, complete_dfa, count_events, determinize,
                        learn_pa, reduce_prune, reduce_selfloop, self_loop,
                        traffic_error, validate_pa, word_prob)
-from nfareduce.nfa import _symmetric_difference
 
-from util import AB, a2, eval_table, random_dfa, random_nfa, sample_word
+from util import (AB, a2, eval_table, random_dfa, random_nfa, sample_word,
+                  symmetric_difference)
 
 
 def two_state_skeleton():
@@ -198,7 +198,7 @@ class TestTrafficError:
         amb = Nfa(3, AB, [(0, "a", 1), (0, "a", 2), (1, "b", 0)], [0],
                   [1, 2])
         sample = [("a", "b"), ("b",), ("a",), ("a", "a")]
-        assert _symmetric_difference(amb, a2()).num_states == 6
+        assert symmetric_difference(amb, a2()).num_states == 6
         assert len(eval_table(amb, a2(), sample)[1].keys) - 1 == 4
         monkeypatch.setattr(traffic, "DEFAULT_DET_CAP", 4)
         assert traffic_error(amb, a2(), sample) == (3, 4, 0.75)

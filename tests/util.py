@@ -7,10 +7,13 @@
   automaton, the back-language acceptor and the untrimmed through-state
   acceptor; and ``restrict_with_map`` and ``self_loop`` the same way,
   which the library builds without the checks.
-- The first ways of building the symmetric-difference DFA (the subset
-  construction of the union, cut per side) and the first-hit DFA (a
+- The symmetric-difference DFA unminimized (``symmetric_difference``),
+  the first ways of building it (the subset construction of the union,
+  cut per side) and of the first-hit DFA (a
   subset that holds the state stops), which the library's trap rule
   must match.
+- DFA minimization by table filling over pairs of states
+  (``table_filling_size``), which ``langprob._minimal`` is held to.
 - Brute-force oracles kept independent of the library's solver pipeline:
   word enumeration (``bf_prob_lang``, ``naive_lang_prob``), fixed-point
   reachability, ``word_weight`` (the mass alive after a word), and 40-digit
@@ -49,7 +52,8 @@ from nfareduce import (Nfa, Pa, Ppa, accepts, components, coreach,
                        prob_lang, prune_survivors, reach, restrict_with_map,
                        selfloop_survivors, self_loop, trim, trim_survivors,
                        validate_pa, word_prob)
-from nfareduce.nfa import _closure, _explore, same_alphabet
+from nfareduce.nfa import (_closure, _difference, _explore, _store,
+                           same_alphabet)
 
 ABC = ("a", "b", "c")
 AB = ("a", "b")
@@ -209,6 +213,18 @@ def subset_successor(a, s, sym):
     return frozenset(d for q in s for d in a.succ(q, sym))
 
 
+def symmetric_difference(a1, a2, cap=None):
+    """Partial DFA accepting the words in exactly one of L(a1) and L(a2):
+    ``nfa._difference`` built by ``_explore``, unminimized.  The pairs are
+    numbered as the subsets of the construction on the union of the two
+    automata would be.  Raises DeterminizationCapError when more than
+    ``cap`` pairs appear."""
+    start, step, final = _difference(a1, a2)
+    pairs, edges = _explore([start], step, cap)
+    return Nfa._built(len(pairs), a1, _store(edges), [0],
+                      [i for i, pair in enumerate(pairs) if final(pair)])
+
+
 def union_symmetric_difference(a1, a2):
     """Partial DFA of the words in exactly one of L(a1) and L(a2), as the
     subset construction of their union.  A side's part of a subset that
@@ -314,6 +330,41 @@ def same_dfa_language(d1, d2):
     start = (min(d1.initial, default=None), min(d2.initial, default=None))
     pairs, _ = _explore([start], step)
     return all((q1 in d1.final) == (q2 in d2.final) for q1, q2 in pairs)
+
+
+def table_filling_size(d):
+    """The number of states of the minimal partial DFA of ``d``, a DFA
+    with initial state 0 whose states are all reachable, by table filling
+    over the pairs of its states and None, the dead state that every
+    missing move leads to.  A pair is told apart when exactly one of its
+    states is final, or when some symbol takes it to a pair told apart.
+    The minimal DFA has one state per class of the rest that is not the
+    dead state's class, or the initial state alone when that is dead."""
+    states = list(range(d.num_states)) + [None]
+
+    def succ(q, sym):
+        nxt = d.succ(q, sym) if q is not None else ()
+        return nxt[0] if nxt else None
+
+    apart = {(p, q) for p in states for q in states
+             if (p in d.final) != (q in d.final)}
+    grown = True
+    while grown:
+        grown = False
+        for p in states:
+            for q in states:
+                if (p, q) not in apart and any(
+                        (succ(p, sym), succ(q, sym)) in apart
+                        for sym in d.alphabet):
+                    apart.add((p, q))
+                    grown = True
+    if (0, None) not in apart:
+        return 1
+    reps = []
+    for q in states:
+        if all((q, r) in apart for r in reps):
+            reps.append(q)
+    return len(reps) - 1
 
 
 class DictPpa:
