@@ -315,11 +315,9 @@ def _aligned(x, like):
 
 def _quotient(p, automata):
     """``p`` and ``automata``, which share one alphabet order
-    (``_aligned``), over the classes of symbols on which every state of
-    every automaton has the same successors, as (class PA, class
-    automata); a symbol without moves is a class of its own, and a class
-    is named by its first symbol in that order.  They are returned
-    themselves when no two symbols share a class.
+    (``_aligned``), over their symbol classes (``nfa._symbol_classes``),
+    as (class PA, class automata).  They are returned themselves when no
+    two symbols share a class.
 
     The class automata keep one move per class, and the class PA sums the
     PA's weights per class.  Both are exact for the probability of any
