@@ -54,8 +54,9 @@ weights replaced by ``_continuation_mass``, on a state's first-hit DFA.
 ``distance`` needs only the language of its symmetric-difference DFA,
 about half of whose pairs of subsets are equivalent, so it solves on the
 minimal DFA (``_minimal``: Moore's partition refinement, one ``np.unique``
-per round).  ``prob_lang`` does not minimize: a component's DFA or a
-per-state acceptor shrinks by a few percent at most.
+per round, on the table ``nfa._DifferenceTable`` fills).  ``prob_lang``
+does not minimize: a component's DFA or a per-state acceptor shrinks by a
+few percent at most.
 """
 
 from dataclasses import dataclass
@@ -159,7 +160,9 @@ def _solve_order(n, rows, cols):
     Tarjan over the graph i -> j of M's entries emits each strongly
     connected component after every one it reaches; consecutive components
     are merged into blocks of at most ``_BLOCK`` unknowns."""
-    key = np.unique(rows * n + cols)
+    # sorted and deduplicated; a plain np.unique would import numpy.ma
+    key = np.sort(rows * n + cols)
+    key = key[np.diff(key, prepend=-1) != 0]
     start = np.searchsorted(key, np.arange(n + 1) * n).tolist()
     dst = (key % n).tolist()
     # an emitted state gets index n, above every low link, so none takes it
@@ -297,13 +300,14 @@ def _deterministic(a):
 def _aligned(x, like):
     """``x``, a PA or an automaton, over the alphabet order of ``like``,
     or ``x`` itself when the two orders agree; AlphabetMismatchError when
-    their symbols differ.  The PA is ``_summed`` with each symbol a class
-    of its own, so every weight keeps its bits; the automaton's moves are
-    re-sorted.  Every sum over a PA's edges then runs in one order, so no
-    result depends on the order a file lists its alphabet in."""
+    their symbols differ, naming those of ``like`` first.  The PA is
+    ``_summed`` with each symbol a class of its own, so every weight keeps
+    its bits; the automaton's moves are re-sorted.  Every sum over a PA's
+    edges then runs in one order, so no result depends on the order a file
+    lists its alphabet in."""
     if x.alphabet == like.alphabet:
         return x
-    same_alphabet(x, like)
+    same_alphabet(like, x)
     index = like._sym_index
     if isinstance(x, Ppa):
         return x._summed(like.alphabet,
@@ -333,31 +337,26 @@ def _quotient(p, automata):
             quotients)
 
 
-def _minimal(like, n, edges, final):
-    """The minimal partial DFA of a DFA over the alphabet of ``like``:
-    states 0 .. n - 1, initial state 0, ``_explore``'s flat edge lists
-    ``edges`` and the final states ``final``.
+def _minimal(like, table, final):
+    """The minimal partial DFA of a DFA over the alphabet of ``like``, given
+    as ``nfa._DifferenceTable.fill`` returns it: ``table[i, j]`` is the
+    state reached from state ``i`` on the ``j``-th symbol, ``final`` flags
+    the final states, state 0 is a dead state that every missing move leads
+    to, and state 1 is initial.
 
-    Moore's refinement runs on a dense table with a dead row n, which every
-    missing move leads to.  Each round splits the blocks by (block, blocks
-    of the successors), one ``np.unique`` over the rows, until the number
-    of blocks stays.  The blocks are numbered by their smallest state, which
-    keeps the discovery order, so state 0 stays initial; each block takes
-    the row of its smallest state, and the dead block is left out.  When no
-    two states merge, the result is the DFA that ``_store(edges)`` gives.
-    When state 0 is dead, it is the one state, without moves.
+    Moore's refinement splits the blocks by (block, blocks of the
+    successors), one ``np.unique`` over the rows per round, until the
+    number of blocks stays.  The blocks are numbered by their smallest
+    state, which keeps the discovery order: the dead block comes first and
+    is left out, so the initial state's block becomes state 0.  Each block
+    takes the row of its smallest state.  When no two states merge, the
+    result is the DFA that ``_explore`` and ``_store`` build.  When the
+    initial state is dead, it is the one state, without moves.
     """
-    src, labels, dst = edges
     alphabet = like.alphabet
-    cols = np.fromiter(map(like._sym_index.__getitem__, labels), np.intp,
-                       len(labels))
-    table = np.full((n + 1, len(alphabet)), n, np.int32)
-    table[src, cols] = dst
-    accepts = np.zeros(n + 1, bool)
-    accepts[final] = True
-    block = accepts.astype(np.int32)
-    count = 1 + bool(final)
-    rows = np.empty((n + 1, len(alphabet) + 1), np.int32)
+    block = final.astype(np.int32)
+    count = 1 + bool(final.any())
+    rows = np.empty((len(table), len(alphabet) + 1), np.int32)
     while True:
         rows[:, 0] = block
         rows[:, 1:] = block[table]
@@ -367,12 +366,11 @@ def _minimal(like, n, edges, final):
         if len(blocks) == count:
             break
         count = len(blocks)
-    dead = block[n]
-    if block[0] == dead:
+    if block[1] == block[0]:
         return Nfa._built(1, like, {}, [0], [])
     _, first = np.unique(block, return_index=True)
     first.sort()
-    first = first[block[first] != dead]
+    first = first[1:]
     number = np.full(count, -1)
     number[block[first]] = np.arange(len(first))
     new = number[block]
@@ -385,7 +383,7 @@ def _minimal(like, n, edges, final):
         if moves:
             delta[i] = moves
     return Nfa._built(len(first), like, delta, [0],
-                      np.flatnonzero(accepts[first]).tolist())
+                      np.flatnonzero(final[first]).tolist())
 
 
 def prob_lang(p, a, det_cap=DEFAULT_DET_CAP):

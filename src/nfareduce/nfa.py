@@ -12,7 +12,9 @@ starts no threads.
 
 Every construction that builds a new automaton is one breadth-first
 worklist (``_explore``) over the per-state transition store, which returns
-its edges as three flat lists rather than a tuple per edge, and every
+its edges as three flat lists rather than a tuple per edge; only the
+symmetric-difference DFA goes straight into a dense table
+(``_DifferenceTable``), numbered as ``_explore`` would number it.  Every
 reachability question is one closure (``_closure``).  Every subset
 construction steps subsets with ``_subset_step``, whose one trap rule
 turns a subset that holds a trap into the smallest trap alone.  The
@@ -20,6 +22,8 @@ outputs of the subset construction, ``through_state`` and ``first_hit``
 are valid by construction, so they fill the store directly (``_built``)
 instead of re-validating every transition in ``Nfa.__init__``.
 """
+
+import numpy as np
 
 from .errors import AlphabetMismatchError, DeterminizationCapError
 
@@ -203,16 +207,19 @@ def _explore(starts, step, cap=None):
     return keys, (src, labels, dst)
 
 
-def _closure(seeds, neighbors):
-    """The least superset of ``seeds`` closed under ``neighbors(x)``."""
-    seen = set(seeds)
-    stack = list(seen)
+def _closure(seeds, neighbors, blocked=_NO_STATES, seen=None):
+    """The least superset of ``seeds`` closed under ``neighbors(x)`` that
+    enters no state of ``blocked``, as a frozenset; or, given ``seen``, a
+    set closed so already, ``seen`` itself grown in place by it."""
+    grown = set() if seen is None else seen
+    stack = [x for x in seeds if x not in grown]
+    grown.update(stack)
     while stack:
         for y in neighbors(stack.pop()):
-            if y not in seen:
-                seen.add(y)
+            if y not in grown and y not in blocked:
+                grown.add(y)
                 stack.append(y)
-    return frozenset(seen)
+    return frozenset(grown) if seen is None else grown
 
 
 def _predecessors(a):
@@ -328,12 +335,13 @@ def self_loop(a, r):
 
 def _difference(a1, a2):
     """(start, step, final) of the DFA of the words in exactly one of L(a1)
-    and L(a2), for ``_explore`` or a lazy table.  Its states are pairs of
-    subsets, one per side, each side stepped by its own subset construction
-    with its accept-all states as traps; a pair is final when exactly one
-    side's subset holds a final state.  A pair where both sides are trapped
-    accepts every continuation on both sides, so the step drops it, as it
-    drops the empty pair; either one, as the start, has no moves."""
+    and L(a2), with moves labelled by alphabet index.  Its states are pairs
+    of subsets, one per side, each side stepped by its own subset
+    construction with its accept-all states as traps; a pair is final when
+    exactly one side's subset holds a final state.  A pair where both sides
+    are trapped accepts every continuation on both sides, so the step drops
+    it, as it drops the empty pair; either one, as the start, has no
+    moves."""
     alphabet = same_alphabet(a1, a2)
     traps1, traps2 = _accept_all(a1), _accept_all(a2)
     step1, step2 = _subset_step(a1, traps1), _subset_step(a2, traps2)
@@ -342,15 +350,81 @@ def _difference(a1, a2):
 
     def step(pair):
         moves1, moves2 = dict(step1(pair[0])), dict(step2(pair[1]))
-        for sym in alphabet:
+        for c, sym in enumerate(alphabet):
             t = moves1.get(sym, _NO_STATES), moves2.get(sym, _NO_STATES)
             if (t[0] or t[1]) and t != trapped:
-                yield sym, t
+                yield c, t
 
     def final(pair):
         return bool(pair[0] & a1.final) != bool(pair[1] & a2.final)
 
     return (_start(a1, traps1), _start(a2, traps2)), step, final
+
+
+class _DifferenceTable:
+    """The DFA of ``_difference(a1, a2)``, at most ``cap`` pairs, as a
+    dense int32 table: ``table[i, j]`` is the state reached from state
+    ``i`` on the ``j``-th symbol, and ``final[i]`` whether ``i`` accepts.
+    State 0 is dead, where every move the step leaves out leads, and
+    ``start`` is state 1.  A row is -1 until it is filled whole; pairs are
+    numbered as first met, and the table doubles as they appear.  ``eval``
+    fills the rows its runs reach (``step``), ``distance`` every row in
+    turn (``fill``), which numbers and counts the pairs as ``_explore``.
+    """
+
+    def __init__(self, a1, a2, cap):
+        start, self._step, self._is_final = _difference(a1, a2)
+        self._cap = cap
+        self._index = {}
+        self.keys = [None]
+        self.final = [False]
+        self.table = np.full((2, len(a1.alphabet)), -1, np.int32)
+        self.table[0] = 0
+        self.start = self._add(start)
+
+    def _add(self, key):
+        i = self._index[key] = len(self.keys)
+        self.keys.append(key)
+        self.final.append(self._is_final(key))
+        if i == len(self.table):
+            grow = min(i, self._cap + 1 - i)
+            self.table = np.concatenate(
+                [self.table, np.full((grow, self.table.shape[1]), -1,
+                                     np.int32)])
+        return i
+
+    def _fill(self, i):
+        row = [0] * self.table.shape[1]
+        for c, key in self._step(self.keys[i]):
+            j = self._index.get(key)
+            if j is None:
+                # the pairs, without the dead state, as ``_explore`` counts
+                if len(self.keys) - 1 >= self._cap:
+                    raise DeterminizationCapError(self._cap)
+                j = self._add(key)
+            row[c] = j
+        self.table[i] = row
+
+    def fill(self):
+        """Fill every row, in the order the pairs were met; returns the
+        table's rows and the final flags, as arrays."""
+        i = 1
+        while i < len(self.keys):
+            self._fill(i)
+            i += 1
+        return self.table[:i], np.array(self.final)
+
+    def step(self, states, cols):
+        """The states the runs in ``states`` reach on the alphabet indices
+        ``cols``, filling the rows they are the first to read."""
+        nxt = self.table[states, cols]
+        missing = nxt < 0
+        if missing.any():
+            # ascending; a plain np.unique would import numpy.ma
+            for i in sorted(set(states[missing].tolist())):
+                self._fill(i)
+            nxt[missing] = self.table[states[missing], cols[missing]]
+        return nxt
 
 
 def _symbol_classes(automata):
@@ -492,7 +566,10 @@ def determinize_with_subsets(a, cap=DEFAULT_DET_CAP, *, traps=_NO_STATES):
 def determinize(a, cap=DEFAULT_DET_CAP):
     """Language-preserving determinization via the subset construction,
     with the accept-all states of ``a`` as traps.  On an automaton without
-    them it is ``determinize_with_subsets``'s DFA."""
+    them it is ``determinize_with_subsets``'s DFA.
+
+    Called directly, it stores a move per symbol, about 27 KB per subset
+    over 256 bytes; every library path quotients the alphabet first."""
     return determinize_with_subsets(a, cap, traps=_accept_all(a))[0]
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from .labels import label_prune, label_selfloop
 from .langprob import _aligned, _minimal, _quotient, prob_lang
 from .nfa import (DEFAULT_DET_CAP, Nfa, _check_states, _closure,
-                  _difference, _explore, _live_states, _predecessors,
-                  restrict, same_alphabet, self_loop)
+                  _DifferenceTable, _live_states, _predecessors, restrict,
+                  same_alphabet, self_loop)
 
 KINDS = ("prune", "selfloop")
 MODES = ("size", "error")
@@ -93,8 +93,8 @@ def prune_survivors(a, v):
     _check_states(a, v)
     v = frozenset(v)
     pred = _predecessors(a)
-    fwd = _closure(a.initial - v, lambda q: a.neighbors(q) - v)
-    bwd = _closure(a.final - v, lambda q: pred[q] - v)
+    fwd = _closure(a.initial - v, a.neighbors, v)
+    bwd = _closure(a.final - v, pred.__getitem__, v)
     return fwd & bwd
 
 
@@ -105,7 +105,7 @@ def selfloop_survivors(a, v):
     pred = _predecessors(a)
     # looped states only reach themselves
     fwd = _closure(a.initial, lambda q: () if q in v else a.neighbors(q))
-    bwd = _closure(a.final | v, lambda q: pred[q] - v)
+    bwd = _closure(a.final | v, pred.__getitem__, v)
     return fwd & bwd
 
 
@@ -138,11 +138,8 @@ def minimize_prune_set(a, v, lab):
     _check_states(a, v)
     kept = set(v)
     pred = _predecessors(a)
-    fwd, bwd = set(), set()
-    for q in a.initial - kept:
-        _extend(fwd, q, a.neighbors, kept)
-    for q in a.final - kept:
-        _extend(bwd, q, pred.__getitem__, kept)
+    fwd = _closure(a.initial - kept, a.neighbors, kept, set())
+    bwd = _closure(a.final - kept, pred.__getitem__, kept, set())
     for q in sorted(kept, key=lambda q: (lab[q], q), reverse=True):
         reached = q in a.initial or not fwd.isdisjoint(pred[q])
         coreached = q in a.final or not bwd.isdisjoint(a.neighbors(q))
@@ -150,24 +147,10 @@ def minimize_prune_set(a, v, lab):
             continue
         kept.discard(q)
         if reached:
-            _extend(fwd, q, a.neighbors, kept)
+            _closure([q], a.neighbors, kept, fwd)
         elif coreached:
-            _extend(bwd, q, pred.__getitem__, kept)
+            _closure([q], pred.__getitem__, kept, bwd)
     return frozenset(kept)
-
-
-def _extend(seen, q, neighbors, blocked):
-    """Add ``q`` and every state reachable from it by ``neighbors``
-    outside ``seen`` and ``blocked`` to ``seen``."""
-    if q in seen:
-        return
-    seen.add(q)
-    stack = [q]
-    while stack:
-        for y in neighbors(stack.pop()):
-            if y not in seen and y not in blocked:
-                seen.add(y)
-                stack.append(y)
 
 
 def minimize_selfloop_set(a, v):
@@ -314,15 +297,13 @@ def greedy_error_driven(a, p, cfg, labels=None, det_cap=DEFAULT_DET_CAP):
 def distance(a1, a2, p, det_cap=DEFAULT_DET_CAP):
     """Probabilistic distance: the probability of the symmetric difference
     of the two languages, one language-probability solve on the minimal
-    DFA that accepts it.  The DFA built first (``nfa._difference``) pairs
-    the subsets of the two automata and has at most ``det_cap`` states,
-    over the symbol classes of the two automata together
+    DFA that accepts it.  The DFA built first (``nfa._DifferenceTable``,
+    the table that ``eval`` fills lazily, here filled whole) pairs the
+    subsets of the two automata and has at most ``det_cap`` pairs, over
+    the symbol classes of the two automata together
     (``langprob._quotient``), in ``a1``'s alphabet order; about half of
     its pairs are equivalent, and ``langprob._minimal`` merges them."""
     a2 = _aligned(a2, a1)
     p, (a1, a2) = _quotient(_aligned(p, a1), [a1, a2])
-    start, step, final = _difference(a1, a2)
-    pairs, edges = _explore([start], step, det_cap)
-    return prob_lang(p, _minimal(a1, len(pairs), edges,
-                                 [i for i, pair in enumerate(pairs)
-                                  if final(pair)]))
+    return prob_lang(p, _minimal(a1, *_DifferenceTable(a1, a2,
+                                                       det_cap).fill()))

@@ -14,24 +14,22 @@ once into a flat int32 array of alphabet indices (a binary corpus's
 ordered longest first, so the words still running at step t are a prefix;
 each step is then one array lookup ``table[state, symbol]`` for all of them.
 The skeleton is a complete DFA, so its table is dense from the start.
-``traffic_error`` fills one lazy table instead: the symmetric-difference
-DFA that ``distance`` minimizes and solves (``nfa._difference``), over the
-symbol classes of the two automata, with an explicit dead state, whose
-rows are filled only when a run first reaches them.  Its corpus is encoded
-as class columns rather than alphabet indices, so a row holds one entry per
-class.  Only the pairs of subsets the corpus leads to are built, at most
-``DEFAULT_DET_CAP`` of them, and a word is a mismatch when it ends in a
-final pair.
+``traffic_error`` steps the table of the symmetric-difference DFA instead
+(``nfa._DifferenceTable``), the one that ``distance`` fills whole,
+minimizes and solves, over the symbol classes of the two automata, with an
+explicit dead state.  Here its rows are filled only when a run first
+reaches them.  Its corpus is encoded as class columns rather than alphabet
+indices, so a row holds one entry per class.  Only the pairs of subsets the
+corpus leads to are built, at most ``DEFAULT_DET_CAP`` of them, and a word
+is a mismatch when it ends in a final pair.
 """
 
 from itertools import chain
 
 import numpy as np
 
-from .errors import DeterminizationCapError
 from .langprob import _aligned
-from .nfa import (DEFAULT_DET_CAP, Nfa, _difference, _symbol_classes,
-                  same_alphabet)
+from .nfa import DEFAULT_DET_CAP, Nfa, _DifferenceTable, _symbol_classes
 from .pa import Pa
 
 
@@ -135,8 +133,8 @@ def traffic_error(a, a_reduced, sample):
 
     Returns (mismatches, total, ratio); duplicates count with multiplicity.
     The mismatches are the sample words that ``distance``'s DFA accepts:
-    the runs step ``nfa._difference`` of the two automata's class automata
-    (``nfa._symbol_classes``) through one lazy table with a column per
+    the runs step the ``nfa._DifferenceTable`` of the two automata's class
+    automata (``nfa._symbol_classes``), filled lazily with a column per
     class, and each symbol of the sample is read as its class.  The two
     alphabets must agree, and every symbol of every word must be in them.
     Raises DeterminizationCapError when the table would need more than
@@ -144,9 +142,8 @@ def traffic_error(a, a_reduced, sample):
     class): at the default cap and 256 classes, up to about 1 GiB, twice
     that for the copy while it grows, besides the pairs themselves.
     """
-    same_alphabet(a, a_reduced)
     class_of, (a1, a2) = _symbol_classes([a, _aligned(a_reduced, a)])
-    table = _LazyTable(*_difference(a1, a2), a1._sym_index, DEFAULT_DET_CAP)
+    table = _DifferenceTable(a1, a2, DEFAULT_DET_CAP)
     words = list(sample)
     if not words:
         raise ValueError("sample is empty")
@@ -156,62 +153,6 @@ def traffic_error(a, a_reduced, sample):
         states[:live] = table.step(states[:live], classes)
     mismatches = int(np.count_nonzero(np.array(table.final)[states]))
     return mismatches, len(words), mismatches / len(words)
-
-
-class _LazyTable:
-    """The DFA of ``start``, ``step`` (a state's (symbol, successor) moves)
-    and ``final`` (whether a state accepts), filled only where a run goes.
-
-    ``table[i, j]`` is the state reached from state ``i`` on the symbol in
-    column ``j`` (``columns`` maps symbols to columns).  Row 0 is a dead
-    state, which every move that ``step`` leaves out leads to.  A row is -1
-    throughout until a step first reads it, and is then filled whole; the
-    table doubles as states appear, up to ``cap`` states besides the dead.
-    """
-
-    def __init__(self, start, step, final, columns, cap):
-        self._step = step
-        self._is_final = final
-        self._columns = columns
-        self._cap = cap
-        self._index = {}
-        self.keys = [None]
-        self.final = [False]
-        self.table = np.full((2, len(columns)), -1, np.int32)
-        self.table[0] = 0
-        self.start = self._add(start)
-
-    def _add(self, key):
-        i = self._index[key] = len(self.keys)
-        self.keys.append(key)
-        self.final.append(self._is_final(key))
-        if i == len(self.table):
-            grow = min(len(self.table), self._cap + 1 - i)
-            self.table = np.concatenate(
-                [self.table, np.full((grow, len(self._columns)), -1, np.int32)])
-        return i
-
-    def _fill(self, i):
-        row = [0] * len(self._columns)
-        for sym, key in self._step(self.keys[i]):
-            j = self._index.get(key)
-            if j is None:
-                # states besides the dead, counted as ``_explore`` does
-                if len(self.keys) - 1 >= self._cap:
-                    raise DeterminizationCapError(self._cap)
-                j = self._add(key)
-            row[self._columns[sym]] = j
-        self.table[i] = row
-
-    def step(self, states, syms):
-        """The states the runs in ``states`` reach on ``syms``."""
-        nxt = self.table[states, syms]
-        missing = nxt < 0
-        if missing.any():
-            for i in np.unique(states[missing]).tolist():
-                self._fill(i)
-            nxt[missing] = self.table[states[missing], syms[missing]]
-        return nxt
 
 
 def _lockstep(words, index, alphabet_name):

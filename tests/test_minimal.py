@@ -2,34 +2,36 @@
 against table filling (``util.table_filling_size``).
 
 The inputs are the symmetric-difference DFAs of random NFA pairs, as
-``distance`` explores them (``nfa._difference``).  The result must have
+``distance`` fills them (``nfa._DifferenceTable``).  The result must have
 the oracle's number of states and the input's language, and where no two
 states merge it must be the input's DFA itself, store order and all, so
-that the distance keeps its bits.
+that the distance keeps its bits.  ``distance``'s ``det_cap`` must count
+the pairs as ``_explore`` does.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfareduce import Nfa, determinize, distance
+from nfareduce import (DeterminizationCapError, Nfa, determinize, distance,
+                       make_p_exp)
 from nfareduce.langprob import _minimal
-from nfareduce.nfa import _difference, _explore
+from nfareduce.nfa import DEFAULT_DET_CAP, _DifferenceTable
 
-from util import (AB, ABC, a2, nfas, random_nfa, random_pa, same_automaton,
-                  symmetric_difference, table_filling_size, trapped_nfas)
+from util import (AB, ABC, BA, a2, nfas, random_nfa, random_pa,
+                  same_automaton, symmetric_difference, table_filling_size,
+                  trapped_nfas)
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def explored(a1, a2):
-    """The states, edges and final states of the symmetric-difference DFA
-    of ``a1`` and ``a2``, as ``distance`` passes them to ``_minimal``."""
-    start, step, final = _difference(a1, a2)
-    pairs, edges = _explore([start], step)
-    return len(pairs), edges, [i for i, pair in enumerate(pairs)
-                               if final(pair)]
+    """The table and final flags of the symmetric-difference DFA of ``a1``
+    and ``a2``, dead state 0 included, as ``distance`` passes them to
+    ``_minimal``."""
+    return _DifferenceTable(a1, a2, DEFAULT_DET_CAP).fill()
 
 
 @SETTINGS
@@ -54,9 +56,9 @@ def test_equal_languages_leave_the_initial_state_alone():
     for _ in range(30):
         a = random_nfa(rng, max_states=6)
         b = determinize(a)
-        n, edges, final = explored(a, b)
-        sizes.append(n)
-        assert _minimal(a, n, edges, final) == Nfa(1, ABC, (), [0])
+        table, final = explored(a, b)
+        sizes.append(len(table) - 1)
+        assert _minimal(a, table, final) == Nfa(1, ABC, (), [0])
         assert distance(a, b, random_pa(rng, max_states=3)) == 0.0
     # the pairs explored first are not all trivially one state
     assert max(sizes) > 1
@@ -67,7 +69,21 @@ def test_without_merges_the_explored_dfa_is_kept():
     # difference is {a, b} and ab{2,}: its five pairs of subsets are told
     # apart from one another, and each reaches a final pair
     star = Nfa(2, AB, [(0, "a", 1), (1, "b", 1)], [0], [1])
-    n, edges, final = explored(a2(), star)
+    table, final = explored(a2(), star)
     raw = symmetric_difference(a2(), star)
-    assert table_filling_size(raw) == n == 5
-    assert same_automaton(_minimal(a2(), n, edges, final), raw)
+    assert table_filling_size(raw) == len(table) - 1 == 5
+    assert same_automaton(_minimal(a2(), table, final), raw)
+
+
+@SETTINGS
+@given(st.one_of(nfas(), trapped_nfas()), st.one_of(nfas(), trapped_nfas()),
+       st.data())
+def test_det_cap_counts_the_pairs_explore_counts(a1, a2, data):
+    n = symmetric_difference(a1, a2).num_states
+    cap = data.draw(st.integers(1, n + 1))
+    p = make_p_exp(BA)
+    if cap < n:
+        with pytest.raises(DeterminizationCapError):
+            distance(a1, a2, p, det_cap=cap)
+    else:
+        assert distance(a1, a2, p, det_cap=cap) >= 0.0

@@ -203,6 +203,28 @@ def test_import_leaves_scipy_out():
     assert out.strip() == "False"
 
 
+def test_learn_distance_and_eval_leave_numpy_ma_out(tmp_path):
+    # a plain np.unique imports numpy.ma on its first call, at 15 ms and
+    # 1.6 MB; the bench's bigmodel runs learn, a block-by-block distance
+    # solve and eval on a byte alphabet
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "bench")
+    code = f"""if True:
+        import contextlib, io, sys
+        sys.path.insert(0, {bench!r})
+        import workloads
+        from nfareduce import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(cmd.argv) for cmd in
+                     workloads.bigmodel(1, {str(tmp_path)!r}).commands]
+        print(codes, "numpy.ma" in sys.modules)"""
+    src = os.path.dirname(os.path.dirname(nfareduce.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[0, 0, 0] False"
+
+
 def test_small_components_leave_scipy_out():
     # a chain puts a product over the dense limit, but every strongly
     # connected component of it is one state: no block needs the sparse LU
