@@ -60,7 +60,6 @@ NEGATIVE_LABEL_TOL = 1e-6
 class StateLabelling:
     """Nonnegative per-state error estimates, one value per state."""
 
-    variant: str  # one of p1, p2, p3, sl1, sl2, sl3
     values: tuple
 
     def __post_init__(self):
@@ -174,8 +173,7 @@ def _label(a, p, variant, kind, det_cap):
             local = _selfloop_labels(sub, pc, variant, det_cap, pz)
         for orig_q, value in zip(origins, local):
             values[orig_q] = value
-    prefix = "p" if kind == "prune" else "sl"
-    return StateLabelling(f"{prefix}{variant}", tuple(values))
+    return StateLabelling(tuple(values))
 
 
 def label_prune(a, p, variant, det_cap=DEFAULT_DET_CAP):

@@ -37,7 +37,9 @@ The solve is direct at every size: the row vector y = initial . (I - E)^-1
 comes from the transposed system, solved block by block over its strongly
 connected components (``_solve``).  A model learned from packet structure
 moves forward through header lines, so its products split into many small
-ones.  Each block takes dense LU up to ``DENSE_SOLVE_LIMIT`` unknowns and
+ones.  Consecutive components merge into one block while it stays under
+100 unknowns (``_MERGE``), the size from which OpenBLAS factors on several
+threads.  Each block takes dense LU up to ``DENSE_SOLVE_LIMIT`` unknowns and
 sparse LU with diagonal pivots beyond.  I - E is a nonsingular M-matrix,
 and with a deterministic automaton the rows of E sum to at most 1, so the
 columns of (I - E)^T are diagonally dominant: partial pivoting keeps the
@@ -51,12 +53,8 @@ product with a component's DFA.  The other labels are ``prob_lang`` calls;
 sl2's is under the continuation-mass model, the class PA with its final
 weights replaced by ``_continuation_mass``, on a state's first-hit DFA.
 
-``distance`` needs only the language of its symmetric-difference DFA,
-about half of whose pairs of subsets are equivalent, so it solves on the
-minimal DFA (``_minimal``: Moore's partition refinement, one ``np.unique``
-per round, on the table ``nfa._DifferenceTable`` fills).  ``prob_lang``
-does not minimize: a component's DFA or a per-state acceptor shrinks by a
-few percent at most.
+``prob_lang`` does not minimize: a component's DFA or a per-state acceptor
+shrinks by a few percent at most (``distance`` does, in ``nfa``).
 """
 
 from dataclasses import dataclass
@@ -70,6 +68,10 @@ from .pa import Ppa
 
 DENSE_SOLVE_LIMIT = 2000
 _BLOCK = 200
+# the largest block merged from several components: OpenBLAS factors 100
+# unknowns and up on several threads, which stalls a cold solve for over
+# 100 ms where one thread takes under 1 ms
+_MERGE = 99
 CLAMP_TOL = 1e-9
 
 
@@ -81,9 +83,9 @@ class ProductPpa:
     ``pair_map[i]`` gives the (pa_state, nfa_state) origin of product
     state ``i``; ``initial`` and ``final`` are the weight vectors.  Entry
     ``k`` is a transition ``src[k] -alphabet[sym[k]]-> dst[k]`` of weight
-    ``weight[k]``, numbered as a ``Ppa`` numbers its edges: by source,
-    alphabet index, then target.  ``ppa`` is the same automaton as a
-    ``Ppa``, built from these arrays on first use.
+    ``weight[k]``, in the order the product met them: by source, then as
+    ``product_pa_nfa`` walks its moves.  ``ppa`` is the same automaton as
+    a ``Ppa``, built from these arrays on first use.
     """
     alphabet: tuple
     pair_map: tuple
@@ -144,14 +146,10 @@ def product_pa_nfa(p, a):
                         for qp, qa in pairs])
     final = np.array([p.final[qp] if qa in a.final and p.final[qp] > 0.0
                       else 0.0 for qp, qa in pairs])
-    src = np.array(src, dtype=np.intp)
-    dst = np.array(dst, dtype=np.intp)
     labels = np.array(labels, dtype=np.intp)
-    sym, weight = p.sym[labels], p.weight[labels]
-    # the order of Ppa.entries(): by source, alphabet index, target
-    perm = np.lexsort((dst, sym, src))
-    return ProductPpa(a.alphabet, tuple(pairs), initial, final, src[perm],
-                      sym[perm], dst[perm], weight[perm])
+    return ProductPpa(a.alphabet, tuple(pairs), initial, final,
+                      np.array(src, dtype=np.intp), p.sym[labels],
+                      np.array(dst, dtype=np.intp), p.weight[labels])
 
 
 def _solve_order(n, rows, cols):
@@ -159,7 +157,8 @@ def _solve_order(n, rows, cols):
     its blocks: ``order[ends[b]:ends[b + 1]]`` is block b.  An iterative
     Tarjan over the graph i -> j of M's entries emits each strongly
     connected component after every one it reaches; consecutive components
-    are merged into blocks of at most ``_BLOCK`` unknowns."""
+    are merged into blocks of at most ``_MERGE`` unknowns, and of at most
+    ``_BLOCK`` when that is smaller."""
     # sorted and deduplicated; a plain np.unique would import numpy.ma
     key = np.sort(rows * n + cols)
     key = key[np.diff(key, prepend=-1) != 0]
@@ -197,7 +196,7 @@ def _solve_order(n, rows, cols):
                     index[u] = n
                 # a new block when the open one holds some and would overflow
                 size = len(order) + len(comp) - ends[-1]
-                if len(comp) < size > _BLOCK:
+                if len(comp) < size > min(_BLOCK, _MERGE):
                     ends.append(len(order))
                 order += comp
     ends.append(n)
@@ -268,8 +267,6 @@ def _solve_y(r):
 
 def _solve_star(r):
     """Evaluate initial . (I - E)^-1 . final on a product PPA, as y . final."""
-    if not r.pair_map:
-        return 0.0
     return float(_solve_y(r) @ r.final)
 
 
@@ -335,55 +332,6 @@ def _quotient(p, automata):
         return p, automata
     return (p._summed(quotients[0].alphabet, np.array(class_of, np.intp)),
             quotients)
-
-
-def _minimal(like, table, final):
-    """The minimal partial DFA of a DFA over the alphabet of ``like``, given
-    as ``nfa._DifferenceTable.fill`` returns it: ``table[i, j]`` is the
-    state reached from state ``i`` on the ``j``-th symbol, ``final`` flags
-    the final states, state 0 is a dead state that every missing move leads
-    to, and state 1 is initial.
-
-    Moore's refinement splits the blocks by (block, blocks of the
-    successors), one ``np.unique`` over the rows per round, until the
-    number of blocks stays.  The blocks are numbered by their smallest
-    state, which keeps the discovery order: the dead block comes first and
-    is left out, so the initial state's block becomes state 0.  Each block
-    takes the row of its smallest state.  When no two states merge, the
-    result is the DFA that ``_explore`` and ``_store`` build.  When the
-    initial state is dead, it is the one state, without moves.
-    """
-    alphabet = like.alphabet
-    block = final.astype(np.int32)
-    count = 1 + bool(final.any())
-    rows = np.empty((len(table), len(alphabet) + 1), np.int32)
-    while True:
-        rows[:, 0] = block
-        rows[:, 1:] = block[table]
-        blocks, block = np.unique(rows.view((np.void, rows.strides[0])),
-                                  return_inverse=True)
-        block = block.ravel().astype(np.int32)
-        if len(blocks) == count:
-            break
-        count = len(blocks)
-    if block[1] == block[0]:
-        return Nfa._built(1, like, {}, [0], [])
-    _, first = np.unique(block, return_index=True)
-    first.sort()
-    first = first[1:]
-    number = np.full(count, -1)
-    number[block[first]] = np.arange(len(first))
-    new = number[block]
-    # the store as ``_store`` fills it: moves in alphabet order, one
-    # successor tuple each, no entry for a state without moves
-    one = [(i,) for i in range(len(first))]
-    delta = {}
-    for i, row in enumerate(new[table[first]].tolist()):
-        moves = {alphabet[c]: one[j] for c, j in enumerate(row) if j >= 0}
-        if moves:
-            delta[i] = moves
-    return Nfa._built(len(first), like, delta, [0],
-                      np.flatnonzero(final[first]).tolist())
 
 
 def prob_lang(p, a, det_cap=DEFAULT_DET_CAP):

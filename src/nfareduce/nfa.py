@@ -14,13 +14,17 @@ Every construction that builds a new automaton is one breadth-first
 worklist (``_explore``) over the per-state transition store, which returns
 its edges as three flat lists rather than a tuple per edge; only the
 symmetric-difference DFA goes straight into a dense table
-(``_DifferenceTable``), numbered as ``_explore`` would number it.  Every
-reachability question is one closure (``_closure``).  Every subset
-construction steps subsets with ``_subset_step``, whose one trap rule
-turns a subset that holds a trap into the smallest trap alone.  The
-outputs of the subset construction, ``through_state`` and ``first_hit``
-are valid by construction, so they fill the store directly (``_built``)
-instead of re-validating every transition in ``Nfa.__init__``.
+(``_DifferenceTable``), numbered as ``_explore`` would number it.
+``distance`` needs only that DFA's language, and about half of its pairs
+of subsets are equivalent, so it solves on the minimal DFA (``_minimal``:
+Moore's partition refinement, one ``np.unique`` per round, on the filled
+table); no other module reads the table's layout.  Every reachability
+question is one closure (``_closure``).  Every subset construction steps
+subsets with ``_subset_step``, whose one trap rule turns a subset that
+holds a trap into the smallest trap alone.  The outputs of the subset
+construction, ``through_state`` and ``first_hit`` are valid by
+construction, so they fill the store directly (``_built``) instead of
+re-validating every transition in ``Nfa.__init__``.
 """
 
 import numpy as np
@@ -425,6 +429,55 @@ class _DifferenceTable:
                 self._fill(i)
             nxt[missing] = self.table[states[missing], cols[missing]]
         return nxt
+
+
+def _minimal(like, table, final):
+    """The minimal partial DFA of a DFA over the alphabet of ``like``, given
+    as ``_DifferenceTable.fill`` returns it: ``table[i, j]`` is the
+    state reached from state ``i`` on the ``j``-th symbol, ``final`` flags
+    the final states, state 0 is a dead state that every missing move leads
+    to, and state 1 is initial.
+
+    Moore's refinement splits the blocks by (block, blocks of the
+    successors), one ``np.unique`` over the rows per round, until the
+    number of blocks stays.  The blocks are numbered by their smallest
+    state, which keeps the discovery order: the dead block comes first and
+    is left out, so the initial state's block becomes state 0.  Each block
+    takes the row of its smallest state.  When no two states merge, the
+    result is the DFA that ``_explore`` and ``_store`` build.  When the
+    initial state is dead, it is the one state, without moves.
+    """
+    alphabet = like.alphabet
+    block = final.astype(np.int32)
+    count = 1 + bool(final.any())
+    rows = np.empty((len(table), len(alphabet) + 1), np.int32)
+    while True:
+        rows[:, 0] = block
+        rows[:, 1:] = block[table]
+        blocks, block = np.unique(rows.view((np.void, rows.strides[0])),
+                                  return_inverse=True)
+        block = block.ravel().astype(np.int32)
+        if len(blocks) == count:
+            break
+        count = len(blocks)
+    if block[1] == block[0]:
+        return Nfa._built(1, like, {}, [0], [])
+    _, first = np.unique(block, return_index=True)
+    first.sort()
+    first = first[1:]
+    number = np.full(count, -1)
+    number[block[first]] = np.arange(len(first))
+    new = number[block]
+    # the store as ``_store`` fills it: moves in alphabet order, one
+    # successor tuple each, no entry for a state without moves
+    one = [(i,) for i in range(len(first))]
+    delta = {}
+    for i, row in enumerate(new[table[first]].tolist()):
+        moves = {alphabet[c]: one[j] for c, j in enumerate(row) if j >= 0}
+        if moves:
+            delta[i] = moves
+    return Nfa._built(len(first), like, delta, [0],
+                      np.flatnonzero(final[first]).tolist())
 
 
 def _symbol_classes(automata):

@@ -23,10 +23,10 @@ import time
 from dataclasses import dataclass
 
 from .labels import label_prune, label_selfloop
-from .langprob import _aligned, _minimal, _quotient, prob_lang
+from .langprob import _aligned, _quotient, prob_lang
 from .nfa import (DEFAULT_DET_CAP, Nfa, _check_states, _closure,
-                  _DifferenceTable, _live_states, _predecessors, restrict,
-                  same_alphabet, self_loop)
+                  _DifferenceTable, _live_states, _minimal, _predecessors,
+                  restrict, same_alphabet, self_loop)
 
 KINDS = ("prune", "selfloop")
 MODES = ("size", "error")
@@ -302,7 +302,7 @@ def distance(a1, a2, p, det_cap=DEFAULT_DET_CAP):
     subsets of the two automata and has at most ``det_cap`` pairs, over
     the symbol classes of the two automata together
     (``langprob._quotient``), in ``a1``'s alphabet order; about half of
-    its pairs are equivalent, and ``langprob._minimal`` merges them."""
+    its pairs are equivalent, and ``nfa._minimal`` merges them."""
     a2 = _aligned(a2, a1)
     p, (a1, a2) = _quotient(_aligned(p, a1), [a1, a2])
     return prob_lang(p, _minimal(a1, *_DifferenceTable(a1, a2,

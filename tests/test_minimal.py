@@ -1,4 +1,4 @@
-"""``langprob._minimal``, the Moore minimization ``distance`` solves on,
+"""``nfa._minimal``, the Moore minimization ``distance`` solves on,
 against table filling (``util.table_filling_size``).
 
 The inputs are the symmetric-difference DFAs of random NFA pairs, as
@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from nfareduce import (DeterminizationCapError, Nfa, determinize, distance,
                        make_p_exp)
-from nfareduce.langprob import _minimal
-from nfareduce.nfa import DEFAULT_DET_CAP, _DifferenceTable
+from nfareduce.nfa import DEFAULT_DET_CAP, _DifferenceTable, _minimal
 
 from util import (AB, ABC, BA, a2, nfas, random_nfa, random_pa,
                   same_automaton, symmetric_difference, table_filling_size,

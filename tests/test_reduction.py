@@ -99,7 +99,7 @@ def tied_labels(data, n):
     """Labels drawn from three values, so the label order has ties."""
     values = data.draw(st.lists(st.sampled_from((0.0, 0.125, 0.25)),
                                 min_size=n, max_size=n))
-    return StateLabelling("p2", tuple(values))
+    return StateLabelling(tuple(values))
 
 
 class TestAgainstOracles:
@@ -171,7 +171,7 @@ class TestAgainstOracles:
         # first fit of 2 states is the prefix {2, 1}
         a = Nfa(5, AB, [(0, "a", 1), (1, "a", 2), (0, "b", 3), (3, "b", 4)],
                 [0], [2])
-        lab = StateLabelling("sl2", (0.5, 0.2, 0.1, 0.4, 0.3))
+        lab = StateLabelling((0.5, 0.2, 0.1, 0.4, 0.3))
         order = (2, 1, 4, 3, 0)
         counts = [len(selfloop_survivors(a, order[:k])) for k in range(1, 6)]
         assert counts == [3, 2, 4, 3, 1]
@@ -212,7 +212,7 @@ class TestErrFunctions:
     def test_selfloop_bound_capped(self):
         from nfareduce import StateLabelling
         a = a2()
-        fat = StateLabelling("sl1", (0.0, 0.9, 0.0, 0.9))
+        fat = StateLabelling((0.0, 0.9, 0.0, 0.9))
         assert minimize_selfloop_set(a, {1, 3}) == {1, 3}
         assert err_selfloop(a, {1, 3}, fat) == 1.0
 

@@ -117,6 +117,33 @@ def test_block_solve_matches_whole_solve_and_mpmath(p, a, block):
     assert prob == pytest.approx(float(mp_lang(p, a)), rel=1e-12, abs=0.0)
 
 
+def test_merged_blocks_stay_below_the_threaded_lu_size():
+    # a chain of cycles, each one strongly connected component: OpenBLAS
+    # factors 100 unknowns and up on several threads, so components merge
+    # only into blocks below that, and a larger block is one component
+    sizes = (60, 75, 90, 80, 65, 70)
+    heads = np.cumsum((0,) + sizes).tolist()
+    cycle_of = [k for k, size in enumerate(sizes) for _ in range(size)]
+    transitions = [(h + i, "a", h + (i + 1) % size)
+                   for h, size in zip(heads, sizes) for i in range(size)]
+    transitions += [(h, "b", h2) for h, h2 in zip(heads, heads[1:-1])]
+    dfa = Nfa(heads[-1], BA, transitions, [0], range(0, heads[-1], 7))
+    p = Pa(BA, [1.0], [0.1], [(0, "a", 0, 0.7), (0, "b", 0, 0.2)])
+    r = langprob.product_pa_nfa(p, dfa)
+    n = len(r.pair_map)
+    assert n == sum(sizes) > langprob._BLOCK
+    order, ends = langprob._solve_order(n, r.dst, r.src)
+    assert sorted(order) == list(range(n))
+    for lo, hi in zip(ends, ends[1:]):
+        cycles = {cycle_of[r.pair_map[i][1]] for i in order[lo:hi]}
+        assert hi - lo < 100 or (len(cycles) == 1
+                                 and hi - lo == sizes[cycles.pop()])
+    y = langprob._solve_y(r)
+    with mock.patch.object(langprob, "_BLOCK", n):
+        whole = langprob._solve_y(r)
+    assert y.tolist() == pytest.approx(whole.tolist(), rel=1e-12, abs=0.0)
+
+
 @SETTINGS
 @given(pas(), SOME_TRAPPED, SOME_TRAPPED)
 def test_distance_matches_mpmath_inclusion_exclusion(p, a1, a2):
