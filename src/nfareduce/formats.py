@@ -32,7 +32,7 @@ import re
 import struct
 
 from .errors import FormatError
-from .nfa import Nfa
+from .nfa import Nfa, _grouped
 from .pa import Pa, validate_pa
 
 BYTE_ALPHABET = tuple(range(256))
@@ -74,8 +74,10 @@ def _logical_lines(text):
 def _read_fa(text, weighted):
     """The one pass over the FA text format that ``parse_nfa`` and
     ``parse_pa`` share: the %Alphabet line, unknown directives, the byte
-    alphabet when none is declared, and the check of each transition's
-    symbol, which waits for the whole text since %Alphabet may come last.
+    alphabet when none is declared, and the check of the transitions'
+    symbols, which waits for the whole text since %Alphabet may come last.
+    Each distinct symbol token is parsed and checked once, and an unknown
+    one is reported at the line of its first use.
 
     Weighted (the PA format), a %Initial or %Final line names one state
     and its weight, a transition ends in its weight, and a state given
@@ -86,9 +88,11 @@ def _read_fa(text, weighted):
     """
     alphabet = None
     names = {}  # state name token -> index, in order of first appearance
+    # transition symbol token -> (symbol, line of its first use)
+    tokens_seen = {}
     marked = {"%Initial": [], "%Final": []}
     first_line = {}
-    raw_transitions = []
+    transitions = []
     shape = "SRC SYMBOL DST PROB" if weighted else "SRC SYMBOL DST"
     width = len(shape.split())
     for lineno, tokens in _logical_lines(text):
@@ -114,21 +118,25 @@ def _read_fa(text, weighted):
         else:
             if len(tokens) != width:
                 raise FormatError(f"line {lineno}: expected '{shape}'")
-            entry = (names.setdefault(tokens[0], len(names)),
-                     parse_symbol(tokens[1]),
+            first = tokens_seen.get(tokens[1])
+            if first is None:
+                first = tokens_seen[tokens[1]] = (parse_symbol(tokens[1]),
+                                                  lineno)
+            entry = (names.setdefault(tokens[0], len(names)), first[0],
                      names.setdefault(tokens[2], len(names)))
             if weighted:
                 _once(first_line, entry, lineno, tokens[:3])
                 entry += (_parse_weight(tokens[3], lineno),)
-            raw_transitions.append((lineno, entry))
+            transitions.append(entry)
     if alphabet is None:
         alphabet = BYTE_ALPHABET
     symbols = set(alphabet)
-    for lineno, (_src, sym, *_rest) in raw_transitions:
+    # in order of first use, so the first one out names the first line out
+    for sym, lineno in tokens_seen.values():
         if sym not in symbols:
             raise FormatError(f"line {lineno}: symbol {sym!r} not in alphabet")
     return (alphabet, len(names), marked["%Initial"], marked["%Final"],
-            [entry for _lineno, entry in raw_transitions])
+            transitions)
 
 
 def _once(first_line, key, lineno, tokens):
@@ -141,9 +149,14 @@ def _once(first_line, key, lineno, tokens):
 
 
 def parse_nfa(text, name=None):
-    """Parse the FA text format into an Nfa."""
+    """Parse the FA text format into an Nfa.  ``_read_fa`` checks every
+    symbol and numbers the states it names, so the states are in range by
+    construction: ``Nfa(0, alphabet)`` checks the alphabet alone, and the
+    store is filled directly (``Nfa._built``)."""
     alphabet, n, initial, final, transitions = _read_fa(text, weighted=False)
-    return Nfa(n, alphabet, transitions, initial, final, name=name)
+    like = Nfa(0, alphabet)
+    return Nfa._built(n, like, _grouped(transitions, like._sym_index),
+                      initial, final, name=name)
 
 
 def serialize_nfa(a):

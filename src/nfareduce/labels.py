@@ -26,8 +26,22 @@ words whose subset contains q, so:
   reachable from q;
 - sl1(q) is the y . 1 of the pairs whose subset contains q.
 
-The other three labels take one ``prob_lang`` of a small DFA built per
-state, each under ``det_cap``:
+p3(q) and the subtrahend of sl3(q) are the words with an accepting run
+through q, which a subset does not tell in general.  It does when q
+dominates every final it reaches (every run from an initial state to one
+of them passes through q; finals that no initial state reaches do not
+count): then a word has an accepting run through q exactly when its
+subset meets those finals, which is p2's language.  Such a state is
+*served*: the dominator tree of each component (``_dominator_intervals``,
+Cooper, Harvey and Kennedy's iterative algorithm) picks them, and one
+engine, on the component restricted to the states that reach a served
+state's finals, gives their labels.  A state is not served when one of
+its finals is accept-all, since the engine's exact subsets cannot trap it
+and would multiply, nor when some run reaches one of its finals around
+it.
+
+The other labels take one ``prob_lang`` of a small DFA built per state,
+each under ``det_cap``:
 
 - sl2(q) is the probability of q's first-hit words (``first_hit``, the
   through-state acceptor cut at q, in which every subset that holds q
@@ -35,9 +49,9 @@ state, each under ``det_cap``:
   component's class PA with its final weights replaced by the PA's
   z = (I - T)^-1 . final and its store shared (``Ppa._reweighted``), under
   which a word weighs the probability that a random word starts with it;
-- p3(q) and the subtrahend of sl3(q) are the words with an accepting run
-  through q, which a subset does not tell: one ``prob_lang`` of
-  ``through_state``, which determinizes that state's acceptor.
+- p3(q) of a state that is not served is one ``prob_lang`` of
+  ``through_state``, which determinizes that state's acceptor with its
+  accept-all states as traps.
 
 Every solve is thus the y of a PA x DFA product.
 """
@@ -48,8 +62,9 @@ import numpy as np
 
 from .langprob import (_aligned, _as_prob, _continuation_mass, _quotient,
                        _solve_y, prob_lang, product_pa_nfa)
-from .nfa import (DEFAULT_DET_CAP, components, determinize_with_subsets,
-                  first_hit, reach, restrict_with_map, through_state)
+from .nfa import (DEFAULT_DET_CAP, _accept_all, _predecessors, components,
+                  coreach, determinize_with_subsets, first_hit, reach,
+                  restrict_with_map, through_state)
 
 # below this share of sl2, a negative sl3 counts as round-off; beyond, it
 # signals an internal inconsistency
@@ -107,9 +122,137 @@ class _Engine:
         return float(self.weight[self.holding[q]].sum())
 
 
+def _dominator_intervals(sub):
+    """The dominator tree of ``sub``'s states from its initial ones, as
+    preorder intervals: ``q`` dominates ``f`` (every path from an initial
+    state to ``f`` passes through ``q``) iff ``lo[q] <= lo[f] < hi[q]``.
+    A state that no initial state reaches has ``lo`` None.
+
+    Cooper, Harvey and Kennedy's iterative algorithm ("A Simple, Fast
+    Dominance Algorithm", 2001), over a virtual root, numbered ``n``,
+    joined to the initial states: in reverse postorder, each state's
+    immediate dominator is the nearest common ancestor of its processed
+    predecessors', until none changes."""
+    n = sub.num_states
+    root = n
+    pred = _predecessors(sub)
+    succ = [sub.neighbors(q) for q in range(n)] + [sorted(sub.initial)]
+    post = [None] * (n + 1)
+    order = []
+    post[root] = -1
+    work = [(root, iter(succ[root]))]
+    while work:
+        v, it = work[-1]
+        for w in it:
+            if post[w] is None:
+                post[w] = -1
+                work.append((w, iter(succ[w])))
+                break
+        else:
+            work.pop()
+            post[v] = len(order)
+            order.append(v)
+    idom = [None] * (n + 1)
+    idom[root] = root
+
+    def meet(a, b):
+        while a != b:
+            while post[a] < post[b]:
+                a = idom[a]
+            while post[b] < post[a]:
+                b = idom[b]
+        return a
+
+    # reverse postorder, without the root
+    rpo = order[-2::-1]
+    changed = True
+    while changed:
+        changed = False
+        for v in rpo:
+            new = root if v in sub.initial else None
+            for u in pred[v]:
+                if idom[u] is not None:
+                    new = u if new is None else meet(u, new)
+            if idom[v] != new:
+                idom[v] = new
+                changed = True
+    children = [[] for _ in range(n + 1)]
+    for v in rpo:
+        children[idom[v]].append(v)
+    lo, hi = [None] * (n + 1), [None] * (n + 1)
+    stack = [root]
+    count = 0
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            hi[~v] = count
+            continue
+        lo[v] = count
+        count += 1
+        stack.append(~v)
+        stack += children[v]
+    return lo, hi
+
+
+def _served(sub, reach_final):
+    """The states whose p3 the engine gives, and the finals it sums for
+    each: ``targets[q]``, the finals in ``reach_final[q]`` that some
+    initial state reaches, and ``served[q]`` when ``q`` dominates every
+    one of them and none accepts all words.
+
+    Every accepting run through a served ``q`` ends in ``targets[q]``, and
+    every run from an initial state to one of those passes through ``q``.
+    So the words with an accepting run through ``q`` are exactly the words
+    whose subset meets ``targets[q]``: p2's language for that final set.
+    The other states keep their own through-state acceptor: the finals of
+    one that does not dominate them are reached by runs around it, and an
+    accept-all final is a trap that the through-state DFA collapses but
+    the engine's exact subsets cannot."""
+    lo, hi = _dominator_intervals(sub)
+    traps = _accept_all(sub)
+    served, targets = [], []
+    for q, finals in enumerate(reach_final):
+        finals = frozenset(f for f in finals if lo[f] is not None)
+        targets.append(finals)
+        served.append(traps.isdisjoint(finals) and all(
+            lo[q] is not None and lo[q] <= lo[f] < hi[q] for f in finals))
+    return served, targets
+
+
 def _through(sub, p, det_cap):
-    return [prob_lang(p, through_state(sub, q), det_cap)
-            for q in range(sub.num_states)]
+    """p3 of every state of ``sub``, the probability of the words with an
+    accepting run through it: for a served state (``_served``), p2 of its
+    targets from one engine, on ``sub`` restricted to the states that
+    reach some served state's target; for any other state, ``prob_lang``
+    of its ``through_state``.  A word's subset in the restriction is its
+    subset in ``sub`` less the states that reach no target, so it meets a
+    target set exactly when the whole subset does; and the restriction
+    leaves out the dead states, and the accept-all states that lead to no
+    target, which would multiply the engine's exact subsets.  On a component whose every state reaches a
+    served target, the restriction is the whole component and the engine
+    is p2's, so a served label is p2's bit for bit."""
+    n = sub.num_states
+    served, targets = _served(sub, _reach_final(sub))
+    goal = frozenset().union(*(t for t, s in zip(targets, served) if s))
+    if goal:
+        part, kept = restrict_with_map(sub, coreach(sub, goal))
+        engine = _Engine(part, p, det_cap)
+        pos = {q: i for i, q in enumerate(kept)}
+    by_targets = {frozenset(): 0.0}
+    values = []
+    for q in range(n):
+        if not served[q]:
+            values.append(prob_lang(p, through_state(sub, q), det_cap))
+            continue
+        t = targets[q]
+        if t not in by_targets:
+            by_targets[t] = engine.prob_of([pos[f] for f in t])
+        values.append(by_targets[t])
+    return values
+
+
+def _reach_final(sub):
+    return [reach(sub, [q]) & sub.final for q in range(sub.num_states)]
 
 
 def _prune_labels(sub, p, variant, det_cap):
@@ -117,13 +260,12 @@ def _prune_labels(sub, p, variant, det_cap):
     variant is computed; the cheap ones stay cheap."""
     if variant == 3:
         return _through(sub, p, det_cap)
-    n = sub.num_states
     engine = _Engine(sub, p, det_cap)
-    reach_final = [reach(sub, [q]) & sub.final for q in range(n)]
+    reach_final = _reach_final(sub)
     if variant == 1:
         per_final = {f: engine.prob_of([f]) for f in sorted(sub.final)}
-        return [sum((per_final[f] for f in sorted(reach_final[q])), 0.0)
-                for q in range(n)]
+        return [sum((per_final[f] for f in sorted(targets)), 0.0)
+                for targets in reach_final]
     by_targets = {}
     for targets in reach_final:
         if targets not in by_targets:
@@ -183,8 +325,12 @@ def label_prune(a, p, variant, det_cap=DEFAULT_DET_CAP):
     reachable from q; variant 2 takes the probability of the back-language
     of that whole final set (cached per set); variant 3 takes the
     probability of the words whose accepting runs pass through q.
-    Variants 1 and 2 determinize each component once, under ``det_cap``;
-    variant 3 determinizes each state's through-state acceptor instead.
+    Variants 1 and 2 determinize each component once, under ``det_cap``.
+    Variant 3 is variant 2's value wherever q dominates the finals it
+    reaches and none of them accepts all words, from one determinization
+    of the component restricted to the states that reach such finals;
+    every other state determinizes its own through-state acceptor, under
+    the same cap.
     """
     return _label(a, p, variant, "prune", det_cap)
 
@@ -198,7 +344,7 @@ def label_selfloop(a, p, variant, det_cap=DEFAULT_DET_CAP):
     negative round-off is clamped to zero).  Variant 1 determinizes each
     component once, under ``det_cap``; variant 2 builds each state's
     first-hit DFA instead, under the same cap, and takes its probability
-    under the continuation-mass model; variant 3 also determinizes each
-    state's through-state acceptor, as prune variant 3 does.
+    under the continuation-mass model; variant 3 also takes prune
+    variant 3, by its route.
     """
     return _label(a, p, variant, "selfloop", det_cap)

@@ -24,7 +24,9 @@ subsets with ``_subset_step``, whose one trap rule turns a subset that
 holds a trap into the smallest trap alone.  The outputs of the subset
 construction, ``through_state`` and ``first_hit`` are valid by
 construction, so they fill the store directly (``_built``) instead of
-re-validating every transition in ``Nfa.__init__``.
+re-validating every transition in ``Nfa.__init__``.  So does
+``formats.parse_nfa``, through ``_grouped``, since its reader checks the
+symbols and numbers the states itself.
 """
 
 import numpy as np
@@ -71,18 +73,13 @@ class Nfa:
         for q in self.initial | self.final:
             self._check_state(q)
 
-        delta = {}
+        transitions = list(transitions)
         for src, sym, dst in transitions:
             self._check_state(src)
             self._check_state(dst)
             if sym not in self._sym_index:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
-            delta.setdefault(src, {}).setdefault(sym, set()).add(dst)
-        order = self._sym_index.__getitem__
-        self._delta = {
-            src: {sym: tuple(sorted(moves[sym]))
-                  for sym in sorted(moves, key=order)}
-            for src, moves in sorted(delta.items())}
+        self._delta = _grouped(transitions, self._sym_index)
         self._pred = None
         self._succ = None
         self._live = None
@@ -154,6 +151,20 @@ class Nfa:
         return (f"Nfa(states={self.num_states}, "
                 f"transitions={self.num_transitions()}, "
                 f"initial={sorted(self.initial)}, final={sorted(self.final)})")
+
+
+def _grouped(transitions, sym_index):
+    """The per-state store of valid (src, symbol, dst) triples, in any
+    order and possibly repeated, over the alphabet that ``sym_index``
+    numbers: states ascending, symbols in alphabet order, successors in
+    sorted tuples."""
+    delta = {}
+    for src, sym, dst in transitions:
+        delta.setdefault(src, {}).setdefault(sym, set()).add(dst)
+    order = sym_index.__getitem__
+    return {src: {sym: tuple(sorted(moves[sym]))
+                  for sym in sorted(moves, key=order)}
+            for src, moves in sorted(delta.items())}
 
 
 def _check_states(a, states):

@@ -72,6 +72,32 @@ class TestNfaFormat:
         with pytest.raises(FormatError):
             parse_nfa("%Alphabet a\n%Initial q\n%Final q\nq b q\n")
 
+    def test_symbol_outside_alphabet_names_its_first_line(self):
+        # each token is parsed once, so an unknown symbol is reported at
+        # the first transition that uses it, with %Alphabet read last
+        text = "q a q\nq z q\nq y q\nq z q\n%Alphabet a\n"
+        with pytest.raises(FormatError, match=re.escape(
+                "line 2: symbol 'z' not in alphabet")):
+            parse_nfa(text)
+        with pytest.raises(FormatError, match=re.escape(
+                "symbol token '\\x07' is not printable")):
+            parse_nfa("%Alphabet a\nq a q\nq \x07 q\nq \x07 q\n")
+
+    def test_store_matches_the_checked_constructor(self):
+        # transitions out of order and repeated, over an alphabet that is
+        # not in lexical order: the reader's store is the one Nfa(...)
+        # builds, with states ascending and symbols in alphabet order
+        text = ("%Alphabet b a\n%Initial s\n%Final t\n"
+                "t a s\ns a t\ns b t\ns a s\ns a t\nt b t\n")
+        a = parse_nfa(text)
+        assert a == Nfa(2, ("b", "a"), [(1, "a", 0), (0, "a", 1),
+                                         (0, "b", 1), (0, "a", 0),
+                                         (1, "b", 1)], [0], [1])
+        assert [list(a.moves(q)) for q in range(2)] == [
+            [("b", (1,)), ("a", (0, 1))], [("b", (1,)), ("a", (0,))]]
+        with pytest.raises(ValueError, match="duplicate symbols"):
+            parse_nfa("%Alphabet a a\n%Initial q\n%Final q\nq a q\n")
+
     def test_unknown_directive(self):
         with pytest.raises(FormatError):
             parse_nfa("%Bogus x\n")

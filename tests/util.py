@@ -16,8 +16,9 @@
   (``table_filling_size``), which ``langprob._minimal`` is held to.
 - Brute-force oracles kept independent of the library's solver pipeline:
   word enumeration (``bf_prob_lang``, ``naive_lang_prob``), fixed-point
-  reachability, ``word_weight`` (the mass alive after a word), and 40-digit
-  mpmath solves of the library's products.
+  reachability, ``word_weight`` (the mass alive after a word), 40-digit
+  mpmath solves of the library's products, and the states that dominate
+  their finals by one closure around each state (``served_states``).
 - Language values by the route of an ambiguity check: determinize only
   an ambiguous automaton, then solve on the trimmed PA x NFA product
   (``lang_value``, ``weight_lang``).
@@ -208,6 +209,24 @@ def accept_all(a):
     """Final states with a self-loop on every symbol."""
     return frozenset(q for q in a.final
                      if all(q in a.succ(q, sym) for sym in a.alphabet))
+
+
+def served_states(a):
+    """The states whose p3 the labelling engine gives, by brute force: q is
+    served when the closure from the initial states that avoids q meets
+    none of the finals that q reaches and some initial state reaches, and
+    none of those finals accepts all words."""
+    pairs = {(s, d) for s, _, d in a.transitions()}
+    reached = naive_closure(a.initial, pairs)
+    traps = accept_all(a)
+    served = set()
+    for q in range(a.num_states):
+        finals = naive_closure([q], pairs) & a.final & reached
+        around = naive_closure(a.initial - {q},
+                               {(s, d) for s, d in pairs if d != q})
+        if not around & finals and not finals & traps:
+            served.add(q)
+    return frozenset(served)
 
 
 def subset_successor(a, s, sym):
