@@ -430,15 +430,20 @@ class _DifferenceTable:
         return self.table[:i], np.array(self.final)
 
     def step(self, states, cols):
-        """The states the runs in ``states`` reach on the alphabet indices
-        ``cols``, filling the rows they are the first to read."""
-        nxt = self.table[states, cols]
-        missing = nxt < 0
-        if missing.any():
+        """The states the runs in ``states`` reach on the columns ``cols``,
+        filling the rows they are the first to read, in ascending order.
+        Each step is one gather from the flat table at ``states * ncols +
+        cols``, in intp: pairs times columns can pass 2**31."""
+        flat = states.astype(np.intp)
+        flat *= self.table.shape[1]
+        flat += cols
+        nxt = self.table.ravel()[flat]
+        if nxt.min() < 0:
+            missing = nxt < 0
             # ascending; a plain np.unique would import numpy.ma
             for i in sorted(set(states[missing].tolist())):
                 self._fill(i)
-            nxt[missing] = self.table[states[missing], cols[missing]]
+            nxt[missing] = self.table.ravel()[flat[missing]]
         return nxt
 
 

@@ -9,19 +9,24 @@ choice left to the caller.
 
 Both the counting (``count_events``) and the empirical error
 (``traffic_error``) run the whole corpus in lockstep.  The corpus is encoded
-once into a flat int32 array of alphabet indices (a binary corpus's
-``bytes`` words by one table lookup, see ``_lockstep``), with the words
-ordered longest first, so the words still running at step t are a prefix;
-each step is then one array lookup ``table[state, symbol]`` for all of them.
-The skeleton is a complete DFA, so its table is dense from the start.
-``traffic_error`` steps the table of the symmetric-difference DFA instead
-(``nfa._DifferenceTable``), the one that ``distance`` fills whole,
-minimizes and solves, over the symbol classes of the two automata, with an
-explicit dead state.  Here its rows are filled only when a run first
-reaches them.  Its corpus is encoded as class columns rather than alphabet
-indices, so a row holds one entry per class.  Only the pairs of subsets the
-corpus leads to are built, at most ``DEFAULT_DET_CAP`` of them, and a word
-is a mismatch when it ends in a final pair.
+once into one flat array of alphabet indices, uint8 for up to 256 symbols
+and uint16 beyond (a binary corpus's ``bytes`` words by one table lookup,
+see ``_lockstep``), with the words ordered longest first, so the words
+still running at step t are a prefix; each step is then one gather from the
+flat table at ``state * k + symbol`` for all of them.  A binary corpus
+costs about 2 bytes of numpy memory per symbol on top of its words: the
+joined buffer and the codes.  The skeleton is a complete DFA, so its table
+is dense from the start; ``_check_skeleton`` builds it in the one walk
+that checks the skeleton, and ``learn_pa`` reads the successors of the
+transitions it keeps from it.  ``traffic_error`` steps the table of the
+symmetric-difference DFA instead (``nfa._DifferenceTable``), the one that
+``distance`` fills whole, minimizes and solves, over the symbol classes of
+the two automata, with an explicit dead state.  Here its rows are filled
+only when a run first reaches them.  Its corpus is encoded as class columns
+rather than alphabet indices, so a row holds one entry per class.  Only the
+pairs of subsets the corpus leads to are built, at most
+``DEFAULT_DET_CAP`` of them, and a word is a mismatch when it ends in a
+final pair.
 """
 
 from itertools import chain
@@ -34,21 +39,39 @@ from .pa import Pa
 
 
 def _check_skeleton(skeleton, complete=True):
+    """The skeleton's successor table, checked: ``table[q, j]`` is the
+    state that ``q`` moves to on the ``j``-th alphabet symbol, -1 where it
+    has none.  The skeleton must have one initial state and at most one
+    successor per (state, symbol), and with ``complete`` one for each; the
+    error names the first (state, symbol) that breaks this, states
+    ascending and symbols in alphabet order.  The table is int64, so that
+    ``count_events``' key ``source * k + symbol`` cannot overflow."""
     if len(skeleton.initial) != 1:
         raise ValueError("skeleton must have exactly one initial state")
+    alphabet = skeleton.alphabet
+    table = np.full((skeleton.num_states, len(alphabet)), -1, np.int64)
     for q in range(skeleton.num_states):
-        for sym in skeleton.alphabet:
-            succ = skeleton.succ(q, sym)
+        moves = skeleton._delta.get(q, {})
+        # the store keeps a state's moves in alphabet order
+        if (len(moves) == len(alphabet)
+                and all(len(dsts) == 1 for dsts in moves.values())):
+            table[q] = [dst for (dst,) in moves.values()]
+            continue
+        for j, sym in enumerate(alphabet):
+            succ = moves.get(sym, ())
             if len(succ) > 1:
                 raise ValueError(
                     f"skeleton is nondeterministic at state {q}, {sym!r}")
-            if complete and not succ:
+            if succ:
+                table[q, j] = succ[0]
+            elif complete:
                 raise ValueError(
                     f"skeleton is incomplete: state {q} has no {sym!r} "
                     "transition (see complete_dfa)")
+    return table
 
 
-def count_events(skeleton, corpus):
+def count_events(skeleton, corpus, *, _table=None):
     """Run every corpus word through the skeleton, counting transition uses
     and word endings.
 
@@ -57,24 +80,23 @@ def count_events(skeleton, corpus):
     ``ends[q]`` the words that end in ``q``.  Each visit to a state is
     followed by exactly one of these events, so a state's visits are
     ``trans[q].sum() + ends[q]``.  The skeleton is a complete DFA, so its
-    transition table is dense and every word is stepped to its end."""
-    _check_skeleton(skeleton)
+    transition table is dense and every word is stepped to its end.
+    ``learn_pa`` passes the table ``_check_skeleton`` gave it as
+    ``_table``, so that the skeleton is walked once."""
+    table = _check_skeleton(skeleton) if _table is None else _table
     words = list(corpus)
     if not words:
         raise ValueError("corpus is empty")
-    n, k = skeleton.num_states, len(skeleton.alphabet)
-    index = skeleton._sym_index
-    table = np.empty((n, k), np.int64)  # so source * k cannot overflow
-    for q, moves in skeleton._delta.items():
-        for sym, (dst,) in moves.items():
-            table[q, index[sym]] = dst
-
+    n, k = table.shape
     (init,) = skeleton.initial
     states = np.full(len(words), init, np.int64)
     table = table.ravel()
     trans = np.zeros(n * k, np.int64)  # by source * k + symbol index
-    for live, syms in _lockstep(words, index, "skeleton alphabet"):
-        key = states[:live] * k + syms
+    for live, syms in _lockstep(words, skeleton._sym_index,
+                                "skeleton alphabet"):
+        key = states[:live]  # the sources, turned into keys in place
+        key *= k
+        key += syms
         trans += np.bincount(key, minlength=n * k)
         states[:live] = table[key]
     return trans.reshape(n, k), np.bincount(states, minlength=n)
@@ -90,7 +112,8 @@ def learn_pa(skeleton, corpus, name=None):
     The counts are exact int64s, so each quotient is the correctly rounded
     one.
     """
-    trans, ends = count_events(skeleton, corpus)
+    table = _check_skeleton(skeleton)
+    trans, ends = count_events(skeleton, corpus, _table=table)
     totals = trans.sum(axis=1) + ends
     visited = totals > 0
     final = np.zeros(len(totals))
@@ -100,9 +123,11 @@ def learn_pa(skeleton, corpus, name=None):
     initial[init] = 1.0
     qs, js = np.nonzero(trans)
     alphabet = skeleton.alphabet
-    transitions = [(q, alphabet[j], skeleton.succ(q, alphabet[j])[0], w)
-                   for q, j, w in zip(qs.tolist(), js.tolist(),
-                                      (trans[qs, js] / totals[qs]).tolist())]
+    weights = trans[qs, js] / totals[qs]
+    transitions = [(q, alphabet[j], dst, w)
+                   for q, j, dst, w in zip(qs.tolist(), js.tolist(),
+                                           table[qs, js].tolist(),
+                                           weights.tolist())]
     pa = Pa(alphabet, initial, final.tolist(), transitions, name=name)
     if pa.num_states != np.count_nonzero(visited):
         raise RuntimeError("learned model kept a state without events "
@@ -114,11 +139,11 @@ def complete_dfa(skeleton):
     """Make a DFA complete by adding one non-final sink with self-loops and
     routing every missing transition to it.  A complete input is returned
     unchanged; the skeleton is never modified silently elsewhere."""
-    _check_skeleton(skeleton, complete=False)
-    missing = [(q, sym) for q in range(skeleton.num_states)
-               for sym in skeleton.alphabet if not skeleton.succ(q, sym)]
-    if not missing:
+    qs, js = np.nonzero(_check_skeleton(skeleton, complete=False) < 0)
+    if not qs.size:
         return skeleton
+    missing = [(q, skeleton.alphabet[j])
+               for q, j in zip(qs.tolist(), js.tolist())]
     sink = skeleton.num_states
     transitions = list(skeleton.transitions())
     transitions += [(q, sym, sink) for q, sym in missing]
@@ -161,34 +186,40 @@ def _lockstep(words, index, alphabet_name):
     that ``index`` gives the symbols of the alphabet (their alphabet
     indices, or their class columns).
 
-    The corpus is encoded once, as one flat int32 array of those numbers.
-    A corpus of ``bytes`` words is joined into one buffer and encoded by
-    one lookup in a 256-entry table, -1 for a byte outside the alphabet.
+    The corpus is encoded once, as one flat array of those numbers in the
+    narrowest unsigned dtype that holds them: uint8 up to 256 symbols or
+    classes, uint16 beyond.  A corpus of ``bytes`` words is joined into one
+    buffer and encoded by one lookup in a 256-entry table, which maps a
+    byte outside the alphabet to one past the largest number; the largest
+    code then tells whether there is one, with no corpus-sized mask.  Up to
+    256 numbers, the buffer and the codes take one byte per symbol each.
     Other words go through ``index`` symbol by symbol, the only path for
     string symbols (text corpora, tuples from callers).  Words are taken
-    longest first, so the words still running at step t are a prefix.  The
-    first symbol outside the alphabet raises ValueError.
+    longest first, so the words still running at step t are a prefix, and
+    one array of their positions is advanced in place.  The first symbol
+    outside the alphabet, in corpus order, raises ValueError.
     """
     lengths = np.fromiter(map(len, words), np.int64, len(words))
+    top = max(index.values()) + 1
     try:
         if all(isinstance(w, bytes) for w in words):
             buf = np.frombuffer(b"".join(words), np.uint8)
-            lut = np.array([index.get(b, -1) for b in range(256)], np.int32)
-            codes = lut[buf]
-            foreign = buf[codes < 0]
-            if foreign.size:
-                raise KeyError(int(foreign[0]))
+            lut = [index.get(b, top) for b in range(256)]
+            codes = np.array(lut, np.min_scalar_type(max(lut)))[buf]
+            if codes.size and codes.max() == top:
+                raise KeyError(int(buf[np.argmax(codes == top)]))
         else:
             codes = np.fromiter(
-                map(index.__getitem__, chain.from_iterable(words)), np.int32,
-                int(lengths.sum()))
+                map(index.__getitem__, chain.from_iterable(words)),
+                np.min_scalar_type(top - 1), int(lengths.sum()))
     except KeyError as exc:
         raise ValueError(
             f"symbol {exc.args[0]!r} not in {alphabet_name}") from None
     offsets = np.zeros(len(words), np.int64)
     np.cumsum(lengths[:-1], out=offsets[1:])
-    starts = offsets[np.argsort(-lengths, kind="stable")]
+    pos = offsets[np.argsort(-lengths, kind="stable")]
     # words of length >= t, for t = 0 .. longest
     at_least = np.cumsum(np.bincount(lengths)[::-1])[::-1]
-    for t, live in enumerate(at_least[1:].tolist()):
-        yield live, codes[starts[:live] + t]
+    for live in at_least[1:].tolist():
+        yield live, codes[pos[:live]]
+        pos[:live] += 1

@@ -73,6 +73,20 @@ class TestLearnPa:
         with pytest.raises(ValueError):
             learn_pa(nd, [("a",)])
 
+    def test_first_fault_in_state_and_alphabet_order(self):
+        # state 0 is complete; state 1 has no "a" and two "b" successors
+        skeleton = Nfa(2, AB, [(0, "a", 0), (0, "b", 1), (1, "b", 0),
+                               (1, "b", 1)], [0], [1])
+        incomplete = (r"^skeleton is incomplete: state 1 has no 'a' "
+                      r"transition \(see complete_dfa\)$")
+        with pytest.raises(ValueError, match=incomplete):
+            learn_pa(skeleton, [("a",)])
+        with pytest.raises(ValueError, match=incomplete):
+            count_events(skeleton, [("a",)])
+        with pytest.raises(ValueError, match=r"^skeleton is "
+                           r"nondeterministic at state 1, 'b'$"):
+            complete_dfa(skeleton)
+
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError):
             learn_pa(two_state_skeleton(), [])
