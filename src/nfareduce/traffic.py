@@ -17,8 +17,7 @@ flat table at ``state * k + symbol`` for all of them.  A binary corpus
 costs about 2 bytes of numpy memory per symbol on top of its words: the
 joined buffer and the codes.  The skeleton is a complete DFA, so its table
 is dense from the start; ``_check_skeleton`` builds it in the one walk
-that checks the skeleton, and ``learn_pa`` reads the successors of the
-transitions it keeps from it.  ``traffic_error`` steps the table of the
+that checks the skeleton.  ``traffic_error`` steps the table of the
 symmetric-difference DFA instead (``nfa._DifferenceTable``), the one that
 ``distance`` fills whole, minimizes and solves, over the symbol classes of
 the two automata, with an explicit dead state.  Here its rows are filled
@@ -52,11 +51,6 @@ def _check_skeleton(skeleton, complete=True):
     table = np.full((skeleton.num_states, len(alphabet)), -1, np.int64)
     for q in range(skeleton.num_states):
         moves = skeleton._delta.get(q, {})
-        # the store keeps a state's moves in alphabet order
-        if (len(moves) == len(alphabet)
-                and all(len(dsts) == 1 for dsts in moves.values())):
-            table[q] = [dst for (dst,) in moves.values()]
-            continue
         for j, sym in enumerate(alphabet):
             succ = moves.get(sym, ())
             if len(succ) > 1:
@@ -71,7 +65,7 @@ def _check_skeleton(skeleton, complete=True):
     return table
 
 
-def count_events(skeleton, corpus, *, _table=None):
+def count_events(skeleton, corpus):
     """Run every corpus word through the skeleton, counting transition uses
     and word endings.
 
@@ -80,10 +74,8 @@ def count_events(skeleton, corpus, *, _table=None):
     ``ends[q]`` the words that end in ``q``.  Each visit to a state is
     followed by exactly one of these events, so a state's visits are
     ``trans[q].sum() + ends[q]``.  The skeleton is a complete DFA, so its
-    transition table is dense and every word is stepped to its end.
-    ``learn_pa`` passes the table ``_check_skeleton`` gave it as
-    ``_table``, so that the skeleton is walked once."""
-    table = _check_skeleton(skeleton) if _table is None else _table
+    transition table is dense and every word is stepped to its end."""
+    table = _check_skeleton(skeleton)
     words = list(corpus)
     if not words:
         raise ValueError("corpus is empty")
@@ -112,8 +104,7 @@ def learn_pa(skeleton, corpus, name=None):
     The counts are exact int64s, so each quotient is the correctly rounded
     one.
     """
-    table = _check_skeleton(skeleton)
-    trans, ends = count_events(skeleton, corpus, _table=table)
+    trans, ends = count_events(skeleton, corpus)
     totals = trans.sum(axis=1) + ends
     visited = totals > 0
     final = np.zeros(len(totals))
@@ -123,11 +114,10 @@ def learn_pa(skeleton, corpus, name=None):
     initial[init] = 1.0
     qs, js = np.nonzero(trans)
     alphabet = skeleton.alphabet
-    weights = trans[qs, js] / totals[qs]
-    transitions = [(q, alphabet[j], dst, w)
-                   for q, j, dst, w in zip(qs.tolist(), js.tolist(),
-                                           table[qs, js].tolist(),
-                                           weights.tolist())]
+    delta = skeleton._delta
+    transitions = [(q, alphabet[j], delta[q][alphabet[j]][0], w)
+                   for q, j, w in zip(qs.tolist(), js.tolist(),
+                                      (trans[qs, js] / totals[qs]).tolist())]
     pa = Pa(alphabet, initial, final.tolist(), transitions, name=name)
     if pa.num_states != np.count_nonzero(visited):
         raise RuntimeError("learned model kept a state without events "
